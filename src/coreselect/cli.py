@@ -12,6 +12,7 @@ stderr as one JSON object.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -84,14 +85,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 _SELECTOR_DEFAULTS = {
-    "bins": 10,
-    "n_search": 1000,
-    "holdout_fraction": 0.25,
-    "lambda_grid": [0.001, 0.01, 0.1, 1.0, 10.0, 100.0],
-    "pca_dim": 50,
-    "irt_dim": 5,
-    "irt_epochs": 500,
-    "irt_lr": 0.1,
+    f.name: f.default for f in dataclasses.fields(SelectorConfig)
+    if f.default is not dataclasses.MISSING
 }
 
 
@@ -151,13 +146,9 @@ def cmd_select(args: argparse.Namespace) -> int:
     for name in ("semantic", "acoustic", "config"):
         if getattr(args, name, None):
             inputs[name] = Path(getattr(args, name))
-    _write_manifest(out, "select", {
-        "method": config.method, "n": config.n, "bins": config.bins,
-        "n_search": config.n_search, "holdout_fraction": config.holdout_fraction,
-        "pca_dim": config.pca_dim, "irt_dim": config.irt_dim,
-        "irt_epochs": config.irt_epochs, "irt_lr": config.irt_lr,
-        "lambda_grid": list(config.lambda_grid),
-    }, args.seed, inputs)
+    echo = dataclasses.asdict(config)
+    del echo["seed"]  # recorded once, at the manifest's top level
+    _write_manifest(out, "select", echo, args.seed, inputs)
     print(f"selected {subset.n} items with {config.method} -> {out / 'subset.json'}")
     return 0
 
@@ -165,18 +156,17 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     matrix = _load_bundle(args.bundle)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise ValidationError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
     sizes = tuple(int(s) for s in args.sizes.split(","))
-    semantic, acoustic = _load_side_embeddings(args, matrix)
     params = _selector_params(args)
+    configs = []
+    for m in methods:  # every config is validated before any evaluation starts
+        params.update(method=m, n=max(sizes))
+        configs.append(SelectorConfig(seed=args.seed, **params))
+    semantic, acoustic = _load_side_embeddings(args, matrix)
 
     curves = {}
-    for m in methods:
-        params.update(method=m, n=max(sizes))
-        config = SelectorConfig(seed=args.seed, **params)
-        curves[m] = crossval_curve(
+    for config in configs:
+        curves[config.method] = crossval_curve(
             matrix, config, sizes, folds=args.folds, repeats=args.repeats,
             master_seed=args.seed, metric=args.metric,
             semantic=semantic, acoustic=acoustic, jobs=args.jobs,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -19,9 +20,8 @@ import numpy as np
 from .errors import ValidationError
 from .pool import ScoreMatrix
 from .embeddings import EmbeddingSet
-from .weighting import apw_scores, reference_scores, renormalized_balance_scores
-from .selectors import SelectorConfig, run_selector
-from . import irt as irt_mod
+from .weighting import reference_scores
+from .selectors import METHODS, SelectorConfig
 
 CORRELATION_METRICS = ("pearson", "spearman", "kendall")
 
@@ -135,12 +135,6 @@ class CorrelationCurve:
     def sizes(self) -> tuple[int, ...]:
         return tuple(p.n for p in self.points)
 
-    def mean_at(self, n: int) -> float:
-        for p in self.points:
-            if p.n == n:
-                return p.mean_r
-        raise ValidationError(f"size {n} not on the curve")
-
     def to_json_dict(self) -> dict:
         return {
             "metric": self.metric,
@@ -191,63 +185,41 @@ def _fold_model_splits(
     return out
 
 
-def _heldout_scores(
-    method: str,
-    matrix: ScoreMatrix,
-    heldout_ids: Sequence[str],
-    subset,
-    regressor,
-    irt_model,
-) -> np.ndarray:
-    """Apply the method's own prediction rule to the held-out models."""
-    held_matrix_rows = np.asarray([matrix.model_position(m) for m in heldout_ids])
-    if method in ("random_balanced", "variance_top", "difficulty_stratified"):
-        return renormalized_balance_scores(matrix, subset)[held_matrix_rows]
-    if method in ("random_sampling_learn", "random_search_learn"):
-        positions = [matrix.item_position(i) for i in subset.item_ids]
-        return regressor.predict(matrix.values[held_matrix_rows][:, positions])
-    if method == "irt_anchor":
-        return irt_mod.pirt_scores(matrix, subset, list(heldout_ids), irt_model)
-    return apw_scores(matrix, subset)[held_matrix_rows]
-
-
 def _run_repeat(
     matrix: ScoreMatrix,
     config: SelectorConfig,
     sizes: Sequence[int],
     folds: int,
     master_seed: int,
-    repeat: int,
     metric: str,
     ref: np.ndarray,
     semantic: EmbeddingSet | None,
     acoustic: EmbeddingSet | None,
+    repeat: int,
 ) -> list[list[tuple[float, bool]]]:
-    """One repeat: per size, the (value, degenerate) pairs for every fold."""
+    """One repeat: per size, the (value, degenerate) pairs for every fold.
+
+    The method's prepare step runs once per fold; select and score run per size.
+    """
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([master_seed, repeat]))
     splits = _fold_model_splits(matrix.n_models, folds, shuffle_rng)
     corr = _FLAGGED[metric]
+    method = METHODS[config.method]
     out: list[list[tuple[float, bool]]] = [[] for _ in sizes]
     for fold_idx, (source_rows, held_rows) in enumerate(splits):
         seeds = np.random.SeedSequence([master_seed, repeat, fold_idx]).generate_state(1)
-        fold_seed = int(seeds[0])
+        fold_config = replace(config, seed=int(seeds[0]))
         source = matrix.submatrix([matrix.model_ids[i] for i in source_rows])
-        held_ids = [matrix.model_ids[i] for i in held_rows]
-        for size_idx, n in enumerate(sizes):
-            cfg = replace(config, n=n, seed=fold_seed)
-            try:
-                subset, regressor, irt_model = run_selector(
-                    source, cfg, semantic=semantic, acoustic=acoustic
-                )
-                predicted = _heldout_scores(
-                    config.method, matrix, held_ids, subset, regressor, irt_model
-                )
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"{config.method} failed at n={n}, repeat={repeat}, "
-                    f"fold={fold_idx}: {exc}"
-                ) from exc
-            out[size_idx].append(corr(predicted, ref[held_rows]))
+        where = f"repeat={repeat}, fold={fold_idx}"
+        try:
+            prepared = method.prepare(source, fold_config, semantic, acoustic)
+            for size_idx, n in enumerate(sizes):
+                where = f"n={n}, repeat={repeat}, fold={fold_idx}"
+                selection = method.select(source, replace(fold_config, n=n), prepared)
+                predicted = method.score(matrix, held_rows, selection)
+                out[size_idx].append(corr(predicted, ref[held_rows]))
+        except ValidationError as exc:
+            raise ValidationError(f"{config.method} failed at {where}: {exc}") from exc
     return out
 
 
@@ -283,15 +255,13 @@ def crossval_curve(
         raise ValidationError("repeats must be >= 1")
 
     ref = reference_scores(matrix)
-    args = [
-        (matrix, config, sizes, folds, master_seed, r, metric, ref, semantic, acoustic)
-        for r in range(repeats)
-    ]
+    run = partial(_run_repeat, matrix, config, sizes, folds, master_seed, metric, ref,
+                  semantic, acoustic)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_repeat = list(pool.map(_run_repeat_star, args))
+            per_repeat = list(pool.map(run, range(repeats)))
     else:
-        per_repeat = [_run_repeat(*a) for a in args]
+        per_repeat = [run(r) for r in range(repeats)]
 
     points = []
     for size_idx, n in enumerate(sizes):
@@ -309,10 +279,6 @@ def crossval_curve(
             )
         )
     return CorrelationCurve(metric, points)
-
-
-def _run_repeat_star(args) -> list[list[tuple[float, bool]]]:
-    return _run_repeat(*args)
 
 
 @dataclass

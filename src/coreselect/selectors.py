@@ -5,34 +5,31 @@ items whose weights sum to 1. Anchor-style methods cluster an item embedding
 space with task-weighted K-Means and return the nearest real item to each
 centroid, weighted by its cluster's share of the task-balance mass.
 Learn-style methods additionally return the fitted score regressor.
+METHODS declares each method once: its size-independent preparation, its
+selection and its held-out scoring rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .pool import ScoreMatrix
 from .embeddings import EmbeddingSet, assemble_combined, pca_reduce, performance_embeddings
-from .weighting import BalanceWeights, SubsetSpec, balance_weights, reference_scores
+from .weighting import (
+    BalanceWeights,
+    SubsetSpec,
+    apw_scores,
+    balance_weights,
+    reference_scores,
+    renormalized_balance_scores,
+)
 from .regression import RidgeModel, ridge_cv
 from . import irt as irt_mod
-
-METHODS = (
-    "random_balanced",
-    "random_sampling_learn",
-    "random_search_learn",
-    "variance_top",
-    "difficulty_stratified",
-    "irt_anchor",
-    "anchor_points",
-    "semantic_anchor",
-    "acoustic_anchor",
-    "combined_anchor",
-)
 
 LEARN_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -239,12 +236,6 @@ def select_variance_top(matrix: ScoreMatrix, n: int, seed: int = 0) -> SubsetSpe
     return SubsetSpec.uniform("variance_top", ids, seed)
 
 
-def _rank_bins(order: np.ndarray, bins: int) -> list[np.ndarray]:
-    """Split an ordered index array into `bins` contiguous rank groups
-    (empirical quantile bins; the first N mod B groups get the extra item)."""
-    return [grp for grp in np.array_split(order, bins)]
-
-
 def select_difficulty_stratified(
     matrix: ScoreMatrix, n: int, bins: int, seed: int
 ) -> SubsetSpec:
@@ -268,7 +259,8 @@ def select_difficulty_stratified(
         sorted(range(matrix.n_items), key=lambda i: (difficulty[i], matrix.items[i].item_id)),
         dtype=np.intp,
     )
-    groups = _rank_bins(order, bins)
+    # empirical quantile bins: contiguous rank groups, the first N mod B one item larger
+    groups = np.array_split(order, bins)
     chosen: list[int] = []
     taken = np.zeros(matrix.n_items, dtype=bool)
 
@@ -303,7 +295,7 @@ def select_difficulty_stratified(
     remainder = n - len(chosen)
     if remainder:
         unsampled = order[~taken[order]]  # difficulty order preserved
-        for grp in _rank_bins(unsampled, min(remainder, bins))[:remainder]:
+        for grp in np.array_split(unsampled, min(remainder, bins))[:remainder]:
             draw_from(grp, 1)
 
     if len(chosen) != n:
@@ -423,74 +415,146 @@ def select_learn(
     )
 
 
+@dataclass(frozen=True)
+class Method:
+    """One selection method as three steps.
+
+    prepare(matrix, config, semantic, acoustic) does the work that does not
+    depend on the subset size; select(matrix, config, prepared) returns
+    (subset, regressor or None, fitted IrtModel or None); score(matrix,
+    heldout_rows, selection) applies the method's own prediction rule to those
+    rows of the full matrix.
+    """
+
+    prepare: Callable
+    select: Callable
+    score: Callable
+
+
+def _prepare_nothing(matrix, config, semantic, acoustic) -> None:
+    return None
+
+
+def _select_random_balanced(matrix, config, prepared):
+    return select_random_balanced(matrix, config.n, config.seed), None, None
+
+
+def _select_variance_top(matrix, config, prepared):
+    return select_variance_top(matrix, config.n, config.seed), None, None
+
+
+def _select_difficulty_stratified(matrix, config, prepared):
+    return select_difficulty_stratified(matrix, config.n, config.bins, config.seed), None, None
+
+
+def _select_learned(matrix, config, prepared, mode):
+    sel = select_learn(
+        matrix,
+        config.n,
+        mode,
+        config.seed,
+        lambda_grid=config.lambda_grid,
+        n_search=config.n_search,
+        holdout_fraction=config.holdout_fraction,
+    )
+    return sel.subset, sel.model, None
+
+
+def _prepare_irt_anchor(matrix, config, semantic, acoustic):
+    _require_models(matrix, 2, f"{config.method} selection")
+    fitted = irt_mod.fit_m2pl(
+        irt_mod.binarize(matrix),
+        d=config.irt_dim,
+        epochs=config.irt_epochs,
+        lr=config.irt_lr,
+        seed=config.seed,
+    )
+    return irt_mod.item_embeddings(fitted), fitted
+
+
+def _prepare_anchor_points(matrix, config, semantic, acoustic):
+    _require_models(matrix, 2, f"{config.method} selection")
+    return performance_embeddings(matrix), None
+
+
+def _prepare_pca_anchor(matrix, config, semantic, acoustic, kind):
+    """A standalone semantic or acoustic space, PCA-reduced to pca_dim
+    components, or to the embedding width if that is smaller."""
+    _require_models(matrix, 2, f"{config.method} selection")
+    embeddings = semantic if kind == "semantic" else acoustic
+    if embeddings is None:
+        raise ValidationError(f"{config.method} requires {kind} embeddings")
+    reduced = pca_reduce(embeddings.vectors, min(config.pca_dim, embeddings.dim))
+    return EmbeddingSet(kind, embeddings.item_ids, reduced), None
+
+
+def _prepare_combined_anchor(matrix, config, semantic, acoustic):
+    _require_models(matrix, 2, f"{config.method} selection")
+    if semantic is None or acoustic is None:
+        raise ValidationError("combined_anchor requires semantic and acoustic embeddings")
+    return assemble_combined(acoustic, semantic, matrix), None
+
+
+def _select_anchors(matrix, config, prepared):
+    space, fitted = prepared
+    subset, _ = select_anchor_points(space, matrix, config.n, config.seed, config.method)
+    return subset, None, fitted
+
+
+def _score_balanced(matrix, heldout_rows, selection) -> np.ndarray:
+    return renormalized_balance_scores(matrix, selection[0])[heldout_rows]
+
+
+def _score_regressor(matrix, heldout_rows, selection) -> np.ndarray:
+    subset, regressor, _ = selection
+    positions = [matrix.item_position(i) for i in subset.item_ids]
+    return regressor.predict(matrix.values[heldout_rows][:, positions])
+
+
+def _score_pirt(matrix, heldout_rows, selection) -> np.ndarray:
+    subset, _, fitted = selection
+    heldout_ids = [matrix.model_ids[r] for r in heldout_rows]
+    return irt_mod.pirt_scores(matrix, subset, heldout_ids, fitted)
+
+
+def _score_apw(matrix, heldout_rows, selection) -> np.ndarray:
+    return apw_scores(matrix, selection[0])[heldout_rows]
+
+
+METHODS: dict[str, Method] = {
+    "random_balanced": Method(_prepare_nothing, _select_random_balanced, _score_balanced),
+    "random_sampling_learn": Method(
+        _prepare_nothing, partial(_select_learned, mode="sampling"), _score_regressor
+    ),
+    "random_search_learn": Method(
+        _prepare_nothing, partial(_select_learned, mode="search"), _score_regressor
+    ),
+    "variance_top": Method(_prepare_nothing, _select_variance_top, _score_balanced),
+    "difficulty_stratified": Method(
+        _prepare_nothing, _select_difficulty_stratified, _score_balanced
+    ),
+    "irt_anchor": Method(_prepare_irt_anchor, _select_anchors, _score_pirt),
+    "anchor_points": Method(_prepare_anchor_points, _select_anchors, _score_apw),
+    "semantic_anchor": Method(
+        partial(_prepare_pca_anchor, kind="semantic"), _select_anchors, _score_apw
+    ),
+    "acoustic_anchor": Method(
+        partial(_prepare_pca_anchor, kind="acoustic"), _select_anchors, _score_apw
+    ),
+    "combined_anchor": Method(_prepare_combined_anchor, _select_anchors, _score_apw),
+}
+
+
 def run_selector(
     matrix: ScoreMatrix,
     config: SelectorConfig,
     semantic: EmbeddingSet | None = None,
     acoustic: EmbeddingSet | None = None,
 ) -> tuple[SubsetSpec, RidgeModel | None, irt_mod.IrtModel | None]:
-    """Dispatch a SelectorConfig to the matching method.
+    """Run one method's prepare and select steps.
 
     Returns (subset, regressor or None, fitted IrtModel or None); the extras
-    are what the evaluation harness needs to score held-out models.
+    are what the method's score step needs to score held-out models.
     """
-    m = config.method
-    if m == "random_balanced":
-        return select_random_balanced(matrix, config.n, config.seed), None, None
-    if m == "variance_top":
-        return select_variance_top(matrix, config.n, config.seed), None, None
-    if m == "difficulty_stratified":
-        return (
-            select_difficulty_stratified(matrix, config.n, config.bins, config.seed),
-            None,
-            None,
-        )
-    if m in ("random_sampling_learn", "random_search_learn"):
-        mode = "sampling" if m == "random_sampling_learn" else "search"
-        sel = select_learn(
-            matrix,
-            config.n,
-            mode,
-            config.seed,
-            lambda_grid=config.lambda_grid,
-            n_search=config.n_search,
-            holdout_fraction=config.holdout_fraction,
-        )
-        return sel.subset, sel.model, None
-
-    _require_models(matrix, 2, f"{m} selection")
-    if m == "anchor_points":
-        space = performance_embeddings(matrix)
-    elif m == "semantic_anchor":
-        if semantic is None:
-            raise ValidationError("semantic_anchor requires semantic embeddings")
-        space = EmbeddingSet(
-            "semantic", semantic.item_ids, pca_reduce(semantic.vectors, config.pca_dim)
-        )
-    elif m == "acoustic_anchor":
-        if acoustic is None:
-            raise ValidationError("acoustic_anchor requires acoustic embeddings")
-        space = EmbeddingSet(
-            "acoustic", acoustic.item_ids, pca_reduce(acoustic.vectors, config.pca_dim)
-        )
-    elif m == "combined_anchor":
-        if semantic is None or acoustic is None:
-            raise ValidationError("combined_anchor requires semantic and acoustic embeddings")
-        space = assemble_combined(acoustic, semantic, matrix)
-    elif m == "irt_anchor":
-        responses = irt_mod.binarize(matrix)
-        fitted = irt_mod.fit_m2pl(
-            responses,
-            d=config.irt_dim,
-            epochs=config.irt_epochs,
-            lr=config.irt_lr,
-            seed=config.seed,
-        )
-        space = irt_mod.item_embeddings(fitted)
-        subset, _ = select_anchor_points(space, matrix, config.n, config.seed, m)
-        return subset, None, fitted
-    else:  # pragma: no cover - METHODS is exhaustive
-        raise ValidationError(f"unhandled method {m!r}")
-
-    subset, _ = select_anchor_points(space, matrix, config.n, config.seed, m)
-    return subset, None, None
+    method = METHODS[config.method]
+    return method.select(matrix, config, method.prepare(matrix, config, semantic, acoustic))
