@@ -146,8 +146,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     for name in ("semantic", "acoustic", "config"):
         if getattr(args, name, None):
             inputs[name] = Path(getattr(args, name))
-    echo = dataclasses.asdict(config)
-    del echo["seed"]  # recorded once, at the manifest's top level
+    echo = {k: v for k, v in dataclasses.asdict(config).items() if k != "seed"}
     _write_manifest(out, "select", echo, args.seed, inputs)
     print(f"selected {subset.n} items with {config.method} -> {out / 'subset.json'}")
     return 0
@@ -156,7 +155,18 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     matrix = _load_bundle(args.bundle)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    if args.sizes is None:
+        sizes = tuple(s for s in DEFAULT_SIZES if s <= matrix.n_items)
+        if not sizes:
+            raise ValidationError(f"no default size fits {matrix.n_items} items; give --sizes")
+    else:
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(","))
+        except ValueError:
+            raise ValidationError(f"--sizes expects integers, got {args.sizes!r}") from None
+    lo, hi = args.aucc_range
+    if hi <= lo:
+        raise ValidationError(f"--aucc-range needs LO < HI, got {lo} {hi}")
     params = _selector_params(args)
     configs = []
     for m in methods:  # every config is validated before any evaluation starts
@@ -174,7 +184,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = EvalReport(
         curves=curves, folds=args.folds, repeats=args.repeats,
         sizes=tuple(sorted(set(sizes))), master_seed=args.seed, metric=args.metric,
-        aucc_range=(args.aucc_range[0], args.aucc_range[1]),
+        aucc_range=(lo, hi),
     )
     report.summarize()
     out = Path(args.out)
@@ -292,15 +302,17 @@ def cmd_export(args: argparse.Namespace) -> int:
 def _add_selector_params(parser: argparse.ArgumentParser) -> None:
     # defaults stay None here; _selector_params resolves flag > config file > default
     parser.add_argument("--config", help="selector config JSON (flags override it)")
-    parser.add_argument("--bins", type=int, help="difficulty bins (default 10)")
+    default = _SELECTOR_DEFAULTS
+    parser.add_argument("--bins", type=int, help=f"difficulty bins (default {default['bins']})")
     parser.add_argument("--n-search", type=int, dest="n_search",
-                        help="search-mode candidate draws (default 1000)")
+                        help=f"search-mode candidate draws (default {default['n_search']})")
     parser.add_argument("--holdout-fraction", type=float, dest="holdout_fraction",
-                        help="search-mode validation share (default 0.25)")
+                        help=f"search-mode holdout share (default {default['holdout_fraction']})")
     parser.add_argument("--lambda-grid", type=float, nargs="+", dest="lambda_grid",
                         help="ridge grid for learn methods")
     parser.add_argument("--pca-dim", type=int, dest="pca_dim",
-                        help="PCA target for standalone semantic/acoustic spaces (default 50)")
+                        help="PCA target for standalone semantic/acoustic spaces, at most the "
+                             f"embedding width (default {default['pca_dim']})")
     parser.add_argument("--irt-dim", type=int, dest="irt_dim")
     parser.add_argument("--irt-epochs", type=int, dest="irt_epochs")
     parser.add_argument("--irt-lr", type=float, dest="irt_lr")
@@ -335,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="cross-validated correlation curves")
     p.add_argument("--bundle", required=True)
     p.add_argument("--methods", required=True, help="comma-separated method names")
-    p.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES),
-                   help="comma-separated subset sizes")
+    p.add_argument("--sizes", help="comma-separated subset sizes (default: those of "
+                   f"{','.join(map(str, DEFAULT_SIZES))} that fit the pool)")
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--metric", choices=CORRELATION_METRICS, default="pearson")

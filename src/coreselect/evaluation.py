@@ -39,7 +39,8 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pearson_flagged(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
-    """Product-moment correlation; zero-variance input yields (0.0, True)."""
+    """Product-moment correlation, clamped to [-1, 1] against rounding;
+    zero-variance input yields (0.0, True)."""
     x, y = _check_pair(x, y)
     # exact constancy check: mean-subtraction roundoff must not fake variance
     if x.max() == x.min() or y.max() == y.min():
@@ -49,7 +50,7 @@ def pearson_flagged(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
     denom = np.sqrt((xc**2).sum() * (yc**2).sum())
     if denom == 0.0:
         return 0.0, True
-    return float((xc @ yc) / denom), False
+    return float(np.clip((xc @ yc) / denom, -1.0, 1.0)), False
 
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
@@ -197,14 +198,12 @@ def _run_repeat(
     acoustic: EmbeddingSet | None,
     repeat: int,
 ) -> list[list[tuple[float, bool]]]:
-    """One repeat: per size, the (value, degenerate) pairs for every fold.
-
-    The method's prepare step runs once per fold; select and score run per size.
-    """
+    """One repeat: per size, the (value, degenerate) pairs for every fold. The
+    method's prepare step runs once per fold, select and score once per size."""
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([master_seed, repeat]))
     splits = _fold_model_splits(matrix.n_models, folds, shuffle_rng)
     corr = _FLAGGED[metric]
-    method = METHODS[config.method]
+    prepare, select, score = METHODS[config.method]
     out: list[list[tuple[float, bool]]] = [[] for _ in sizes]
     for fold_idx, (source_rows, held_rows) in enumerate(splits):
         seeds = np.random.SeedSequence([master_seed, repeat, fold_idx]).generate_state(1)
@@ -212,11 +211,11 @@ def _run_repeat(
         source = matrix.submatrix([matrix.model_ids[i] for i in source_rows])
         where = f"repeat={repeat}, fold={fold_idx}"
         try:
-            prepared = method.prepare(source, fold_config, semantic, acoustic)
+            prepared = prepare(source, fold_config, semantic, acoustic)
             for size_idx, n in enumerate(sizes):
                 where = f"n={n}, repeat={repeat}, fold={fold_idx}"
-                selection = method.select(source, replace(fold_config, n=n), prepared)
-                predicted = method.score(matrix, held_rows, selection)
+                selection = select(source, replace(fold_config, n=n), prepared)
+                predicted = score(matrix, held_rows, selection)
                 out[size_idx].append(corr(predicted, ref[held_rows]))
         except ValidationError as exc:
             raise ValidationError(f"{config.method} failed at {where}: {exc}") from exc
@@ -255,8 +254,9 @@ def crossval_curve(
         raise ValidationError("repeats must be >= 1")
 
     ref = reference_scores(matrix)
-    run = partial(_run_repeat, matrix, config, sizes, folds, master_seed, metric, ref,
-                  semantic, acoustic)
+    run = partial(
+        _run_repeat, matrix, config, sizes, folds, master_seed, metric, ref, semantic, acoustic
+    )
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             per_repeat = list(pool.map(run, range(repeats)))
@@ -296,11 +296,10 @@ class EvalReport:
 
     def summarize(self) -> None:
         self.summaries = {}
+        lo, hi = self.aucc_range
         for method, curve in self.curves.items():
-            in_range = [
-                p for p in curve.points if self.aucc_range[0] <= p.n <= self.aucc_range[1]
-            ]
-            area = aucc(curve, *self.aucc_range) if len(in_range) >= 2 else None
+            in_range = [p for p in curve.points if lo <= p.n <= hi]
+            area = aucc(curve, lo, hi) if len(in_range) >= 2 else None
             if area is not None and not -1.0 <= area <= 1.0 + 1e-12:
                 raise ValidationError(f"AUCC {area} outside [-1, 1]")
             n90 = n_threshold(curve, 0.90)

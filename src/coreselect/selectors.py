@@ -5,8 +5,11 @@ items whose weights sum to 1. Anchor-style methods cluster an item embedding
 space with task-weighted K-Means and return the nearest real item to each
 centroid, weighted by its cluster's share of the task-balance mass.
 Learn-style methods additionally return the fitted score regressor.
-METHODS declares each method once: its size-independent preparation, its
-selection and its held-out scoring rule.
+METHODS declares each method once as three steps: prepare(matrix, config,
+semantic, acoustic) does the work that does not depend on the subset size;
+select(matrix, config, prepared) returns (subset, regressor or None, IrtModel
+or None); score(matrix, heldout_rows, selection) is the method's own
+prediction for those rows of the full matrix.
 """
 
 from __future__ import annotations
@@ -20,14 +23,8 @@ import numpy as np
 from .errors import ValidationError
 from .pool import ScoreMatrix
 from .embeddings import EmbeddingSet, assemble_combined, pca_reduce, performance_embeddings
-from .weighting import (
-    BalanceWeights,
-    SubsetSpec,
-    apw_scores,
-    balance_weights,
-    reference_scores,
-    renormalized_balance_scores,
-)
+from .weighting import BalanceWeights, SubsetSpec, balance_weights, reference_scores
+from .weighting import apw_scores, renormalized_balance_scores
 from .regression import RidgeModel, ridge_cv
 from . import irt as irt_mod
 
@@ -55,12 +52,11 @@ class SelectorConfig:
             raise ValidationError(
                 f"unknown method {self.method!r}; valid: {', '.join(METHODS)}"
             )
-        if self.n < 1:
-            raise ValidationError("subset size n must be >= 1")
-        if self.bins < 1:
-            raise ValidationError("bins must be >= 1")
-        if self.n_search < 1:
-            raise ValidationError("n_search must be >= 1")
+        for name in ("n", "bins", "n_search", "pca_dim", "irt_dim", "irt_epochs"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
+        if not self.irt_lr > 0.0:
+            raise ValidationError("irt_lr must be > 0")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValidationError("holdout_fraction must be in (0, 1)")
         if not self.lambda_grid:
@@ -207,20 +203,20 @@ def _require_models(matrix: ScoreMatrix, minimum: int, what: str) -> None:
 
 
 def _draw_balanced(
-    matrix: ScoreMatrix, n: int, rng: np.random.Generator
+    matrix: ScoreMatrix, n: int, p: np.ndarray, rng: np.random.Generator
 ) -> list[str]:
-    """n distinct items, probability proportional to the task-balance weight."""
+    """n distinct items drawn with probabilities p (the normalized balance weights)."""
     if n > matrix.n_items:
         raise ValidationError(f"n={n} exceeds pool size {matrix.n_items}")
-    b = balance_weights(matrix).weights
-    idx = rng.choice(matrix.n_items, size=n, replace=False, p=b / b.sum(), shuffle=False)
+    idx = rng.choice(matrix.n_items, size=n, replace=False, p=p, shuffle=False)
     return [matrix.items[i].item_id for i in idx]
 
 
 def select_random_balanced(matrix: ScoreMatrix, n: int, seed: int) -> SubsetSpec:
     """Task-balanced random draw without replacement, uniform weights."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0, 0]))
-    ids = _draw_balanced(matrix, n, rng)
+    b = balance_weights(matrix).weights
+    ids = _draw_balanced(matrix, n, b / b.sum(), rng)
     return SubsetSpec.uniform("random_balanced", ids, seed)
 
 
@@ -369,16 +365,16 @@ def select_learn(
     if mode not in ("sampling", "search"):
         raise ValidationError(f"unknown learn mode {mode!r}")
     _require_models(matrix, 4, "learn-method selection")
-    if not lambda_grid:
-        raise ValidationError("empty lambda grid")
     k = matrix.n_models
     ref = reference_scores(matrix)
     method = "random_sampling_learn" if mode == "sampling" else "random_search_learn"
     cv_folds = min(5, k)
+    b = balance_weights(matrix).weights
+    p = b / b.sum()  # draw probabilities, shared by every candidate
 
     def candidate(index: int) -> list[str]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0, index]))
-        return _draw_balanced(matrix, n, rng)
+        return _draw_balanced(matrix, n, p, rng)
 
     def final_fit(item_ids: Sequence[str]) -> RidgeModel:
         x = _subset_features(matrix, item_ids)
@@ -415,22 +411,6 @@ def select_learn(
     )
 
 
-@dataclass(frozen=True)
-class Method:
-    """One selection method as three steps.
-
-    prepare(matrix, config, semantic, acoustic) does the work that does not
-    depend on the subset size; select(matrix, config, prepared) returns
-    (subset, regressor or None, fitted IrtModel or None); score(matrix,
-    heldout_rows, selection) applies the method's own prediction rule to those
-    rows of the full matrix.
-    """
-
-    prepare: Callable
-    select: Callable
-    score: Callable
-
-
 def _prepare_nothing(matrix, config, semantic, acoustic) -> None:
     return None
 
@@ -447,7 +427,7 @@ def _select_difficulty_stratified(matrix, config, prepared):
     return select_difficulty_stratified(matrix, config.n, config.bins, config.seed), None, None
 
 
-def _select_learned(matrix, config, prepared, mode):
+def _select_learned(mode, matrix, config, prepared):
     sel = select_learn(
         matrix,
         config.n,
@@ -461,26 +441,19 @@ def _select_learned(matrix, config, prepared, mode):
 
 
 def _prepare_irt_anchor(matrix, config, semantic, acoustic):
-    _require_models(matrix, 2, f"{config.method} selection")
     fitted = irt_mod.fit_m2pl(
-        irt_mod.binarize(matrix),
-        d=config.irt_dim,
-        epochs=config.irt_epochs,
-        lr=config.irt_lr,
-        seed=config.seed,
+        irt_mod.binarize(matrix), config.irt_dim, config.irt_epochs, config.irt_lr, config.seed
     )
     return irt_mod.item_embeddings(fitted), fitted
 
 
 def _prepare_anchor_points(matrix, config, semantic, acoustic):
-    _require_models(matrix, 2, f"{config.method} selection")
     return performance_embeddings(matrix), None
 
 
-def _prepare_pca_anchor(matrix, config, semantic, acoustic, kind):
+def _prepare_pca_anchor(kind, matrix, config, semantic, acoustic):
     """A standalone semantic or acoustic space, PCA-reduced to pca_dim
     components, or to the embedding width if that is smaller."""
-    _require_models(matrix, 2, f"{config.method} selection")
     embeddings = semantic if kind == "semantic" else acoustic
     if embeddings is None:
         raise ValidationError(f"{config.method} requires {kind} embeddings")
@@ -489,13 +462,13 @@ def _prepare_pca_anchor(matrix, config, semantic, acoustic, kind):
 
 
 def _prepare_combined_anchor(matrix, config, semantic, acoustic):
-    _require_models(matrix, 2, f"{config.method} selection")
     if semantic is None or acoustic is None:
-        raise ValidationError("combined_anchor requires semantic and acoustic embeddings")
+        raise ValidationError(f"{config.method} requires semantic and acoustic embeddings")
     return assemble_combined(acoustic, semantic, matrix), None
 
 
 def _select_anchors(matrix, config, prepared):
+    _require_models(matrix, 2, f"{config.method} selection")
     space, fitted = prepared
     subset, _ = select_anchor_points(space, matrix, config.n, config.seed, config.method)
     return subset, None, fitted
@@ -521,27 +494,21 @@ def _score_apw(matrix, heldout_rows, selection) -> np.ndarray:
     return apw_scores(matrix, selection[0])[heldout_rows]
 
 
-METHODS: dict[str, Method] = {
-    "random_balanced": Method(_prepare_nothing, _select_random_balanced, _score_balanced),
-    "random_sampling_learn": Method(
-        _prepare_nothing, partial(_select_learned, mode="sampling"), _score_regressor
+METHODS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "random_balanced": (_prepare_nothing, _select_random_balanced, _score_balanced),
+    "random_sampling_learn": (
+        _prepare_nothing, partial(_select_learned, "sampling"), _score_regressor
     ),
-    "random_search_learn": Method(
-        _prepare_nothing, partial(_select_learned, mode="search"), _score_regressor
+    "random_search_learn": (
+        _prepare_nothing, partial(_select_learned, "search"), _score_regressor
     ),
-    "variance_top": Method(_prepare_nothing, _select_variance_top, _score_balanced),
-    "difficulty_stratified": Method(
-        _prepare_nothing, _select_difficulty_stratified, _score_balanced
-    ),
-    "irt_anchor": Method(_prepare_irt_anchor, _select_anchors, _score_pirt),
-    "anchor_points": Method(_prepare_anchor_points, _select_anchors, _score_apw),
-    "semantic_anchor": Method(
-        partial(_prepare_pca_anchor, kind="semantic"), _select_anchors, _score_apw
-    ),
-    "acoustic_anchor": Method(
-        partial(_prepare_pca_anchor, kind="acoustic"), _select_anchors, _score_apw
-    ),
-    "combined_anchor": Method(_prepare_combined_anchor, _select_anchors, _score_apw),
+    "variance_top": (_prepare_nothing, _select_variance_top, _score_balanced),
+    "difficulty_stratified": (_prepare_nothing, _select_difficulty_stratified, _score_balanced),
+    "irt_anchor": (_prepare_irt_anchor, _select_anchors, _score_pirt),
+    "anchor_points": (_prepare_anchor_points, _select_anchors, _score_apw),
+    "semantic_anchor": (partial(_prepare_pca_anchor, "semantic"), _select_anchors, _score_apw),
+    "acoustic_anchor": (partial(_prepare_pca_anchor, "acoustic"), _select_anchors, _score_apw),
+    "combined_anchor": (_prepare_combined_anchor, _select_anchors, _score_apw),
 }
 
 
@@ -556,5 +523,5 @@ def run_selector(
     Returns (subset, regressor or None, fitted IrtModel or None); the extras
     are what the method's score step needs to score held-out models.
     """
-    method = METHODS[config.method]
-    return method.select(matrix, config, method.prepare(matrix, config, semantic, acoustic))
+    prepare, select, _ = METHODS[config.method]
+    return select(matrix, config, prepare(matrix, config, semantic, acoustic))

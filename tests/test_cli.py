@@ -169,12 +169,67 @@ def test_evaluate_rerun_identical_and_jobs_independent(tmp_path):
     for name, jobs in (("e1", 1), ("e2", 1), ("e3", 2)):
         out = tmp_path / name
         assert run_cli(
-            "evaluate", "--bundle", bundle, "--methods", "anchor_points",
+            "evaluate", "--bundle", bundle, "--methods", "anchor_points,irt_anchor",
             "--sizes", "8,12", "--folds", 3, "--repeats", 2, "--seed", 5,
             "--jobs", jobs, "--out", out,
         ) == 0
         outs.append((out / "report.json").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_evaluate_malformed_sizes_exit_1(tmp_path, capsys):
+    bundle = ingest(tmp_path, make_pool_files(tmp_path))
+    assert run_cli(
+        "evaluate", "--bundle", bundle, "--methods", "random_balanced",
+        "--sizes", "5,x", "--seed", 5, "--out", tmp_path / "ev",
+    ) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert "5,x" in err["error"]
+
+
+@pytest.mark.parametrize("lo, hi", [(20, 10), (10, 10)])
+def test_evaluate_empty_aucc_range_exit_1(tmp_path, capsys, lo, hi):
+    bundle = ingest(tmp_path, make_pool_files(tmp_path))
+    assert run_cli(
+        "evaluate", "--bundle", bundle, "--methods", "random_balanced",
+        "--sizes", "8,16", "--folds", 2, "--repeats", 1, "--seed", 5,
+        "--aucc-range", lo, hi, "--out", tmp_path / "ev",
+    ) == 1
+    assert json.loads(capsys.readouterr().err.strip())["kind"] == "validation"
+    assert not (tmp_path / "ev").exists()
+
+
+def test_evaluate_default_sizes_are_those_that_fit_the_pool(tmp_path):
+    bundle = ingest(tmp_path, make_pool_files(tmp_path))  # 4 tasks x 12 = 48 items
+    out = tmp_path / "ev"
+    assert run_cli(
+        "evaluate", "--bundle", bundle, "--methods", "random_balanced",
+        "--folds", 2, "--repeats", 1, "--seed", 5, "--out", out,
+    ) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["sizes"] == [10, 20, 30]
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--method", "irt_anchor", "--irt-dim", 0], 1),
+    (["--method", "irt_anchor", "--irt-lr", -1], 1),
+    (["--method", "irt_anchor", "--irt-epochs", 0], 1),
+    (["--method", "semantic_anchor", "--pca-dim", 0], 1),
+    # the default pca_dim (50) is clamped to the 24-wide embeddings
+    (["--method", "semantic_anchor"], 0),
+], ids=["irt_dim_0", "irt_lr_negative", "irt_epochs_0", "pca_dim_0", "semantic_24_wide"])
+def test_select_validates_selector_params(tmp_path, capsys, flags, code):
+    data = make_pool_files(tmp_path, embedding_dim=24)
+    bundle = ingest(tmp_path, data)
+    out = tmp_path / "sel"
+    assert run_cli("select", "--bundle", bundle, *flags, "--n", 10, "--seed", 7,
+                   "--semantic", data / "semantic.csv", "--out", out) == code
+    if code:
+        assert json.loads(capsys.readouterr().err.strip())["kind"] == "validation"
+        assert not out.exists()
+    else:
+        assert len(json.loads((out / "subset.json").read_text())["items"]) == 10
 
 
 def test_regress_lomo_and_export(tmp_path):

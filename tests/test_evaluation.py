@@ -185,6 +185,15 @@ def test_curve_sizes_must_increase():
         _curve([(20, 0.5), (10, 0.6)])
 
 
+def test_pearson_clamped_when_rounding_overshoots_one():
+    x = np.arange(5) / 9.0
+    xc = x - x.mean()
+    assert (xc @ xc) / np.sqrt((xc**2).sum() * (xc**2).sum()) > 1.0  # unclamped ratio
+    assert pearson_flagged(x, x) == (1.0, False)
+    assert pearson_flagged(x, 3.0 * x + 1.0) == (1.0, False)
+    assert pearson_flagged(x, -x) == (-1.0, False)
+
+
 # --------------------------------------------------------------- harness
 
 def test_crossval_evaluation_count(rng):
@@ -242,6 +251,23 @@ def test_crossval_learn_and_irt_paths(rng):
         curve = crossval_curve(m, cfg, sizes=(5,), folds=2, repeats=2, master_seed=3)
         assert len(curve.points[0].values) == 4
         assert all(-1.0 <= v <= 1.0 for v in curve.points[0].values)
+
+
+def test_crossval_fits_irt_once_per_fold(rng, monkeypatch):
+    import coreselect.irt as irt_mod
+
+    fits = []
+    real_fit = irt_mod.fit_m2pl
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(irt_mod, "fit_m2pl", counting_fit)
+    m = random_matrix(rng, 8, [6, 6])
+    cfg = SelectorConfig("irt_anchor", n=6, seed=0, irt_dim=2, irt_epochs=40)
+    crossval_curve(m, cfg, sizes=(3, 4, 6), folds=2, repeats=3, master_seed=1)
+    assert len(fits) == 2 * 3  # folds x repeats, not folds x repeats x sizes
 
 
 def test_crossval_selector_failure_carries_fold_context(rng):
