@@ -19,7 +19,6 @@ from .pool import (
     rescale_rating,
 )
 from .weighting import (
-    BalanceWeights,
     SubsetSpec,
     apw_score,
     apw_scores,
@@ -53,7 +52,6 @@ __all__ = [
     "load_ratings",
     "normalize",
     "rescale_rating",
-    "BalanceWeights",
     "SubsetSpec",
     "balance_weights",
     "reference_score",

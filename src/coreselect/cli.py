@@ -60,12 +60,28 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int | None,
     _write_json(out_dir / "manifest.json", manifest)
 
 
+def _read_json(path: str | Path, parse=dict):
+    """Read one JSON object file and parse it. An unreadable file, invalid
+    JSON, and a missing or ill-typed field are validation errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValidationError("expected a JSON object")
+        return parse(data)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing field {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _load_bundle(bundle_dir: str) -> ScoreMatrix:
     path = Path(bundle_dir) / "pool.json"
     if not path.exists():
         raise ValidationError(f"no pool bundle at {path}")
-    with open(path, encoding="utf-8") as fh:
-        return ScoreMatrix.from_json_dict(json.load(fh))
+    return _read_json(path, ScoreMatrix.from_json_dict)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -94,11 +110,7 @@ def _selector_params(args: argparse.Namespace) -> dict:
     """Merge selector parameters: CLI flag > config file > built-in default."""
     from_file: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                from_file = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{args.config}: invalid JSON ({exc})") from None
+        from_file = _read_json(args.config)
         unknown = set(from_file) - set(_SELECTOR_DEFAULTS) - {"method", "n"}
         if unknown:
             raise ValidationError(f"{args.config}: unknown keys {sorted(unknown)}")
@@ -155,6 +167,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     matrix = _load_bundle(args.bundle)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValidationError("--methods names no method")
     if args.sizes is None:
         sizes = tuple(s for s in DEFAULT_SIZES if s <= matrix.n_items)
         if not sizes:
@@ -206,8 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_regress(args: argparse.Namespace) -> int:
     matrix = _load_bundle(args.bundle)
-    with open(args.subset, encoding="utf-8") as fh:
-        subset = SubsetSpec.from_json_dict(json.load(fh))
+    subset = _read_json(args.subset, SubsetSpec.from_json_dict)
     ratings = load_ratings(args.ratings)
     for model_id in ratings.model_ids:
         matrix.model_position(model_id)  # rated models must exist in the pool
@@ -266,16 +279,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    with open(args.subset, encoding="utf-8") as fh:
-        subset = SubsetSpec.from_json_dict(json.load(fh))
+    subset = _read_json(args.subset, SubsetSpec.from_json_dict)
     regression = {}
     inputs = {"subset": Path(args.subset)}
     for spec in args.regression or []:
         if "=" not in spec:
             raise ValidationError(f"--regression expects dimension=path, got {spec!r}")
         dim, path = spec.split("=", 1)
-        with open(path, encoding="utf-8") as fh:
-            model = RidgeModel.from_json_dict(json.load(fh))
+        model = _read_json(path, RidgeModel.from_json_dict)
         if set(model.item_ids or ()) != set(subset.item_ids):
             raise ValidationError(
                 f"regression model for {dim!r} was fitted on different items"

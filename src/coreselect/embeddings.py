@@ -99,17 +99,12 @@ def minmax_scale(vectors: np.ndarray) -> np.ndarray:
 
 def performance_embeddings(matrix: ScoreMatrix) -> EmbeddingSet:
     """Each item's vector of source-model scores (dim = number of models)."""
-    return EmbeddingSet(
-        "performance",
-        tuple(it.item_id for it in matrix.items),
-        matrix.values.T,
-    )
+    return EmbeddingSet("performance", matrix.item_ids, matrix.values.T)
 
 
 def _check_alignment(embedding: EmbeddingSet, matrix: ScoreMatrix, label: str) -> None:
-    pool_ids = tuple(it.item_id for it in matrix.items)
-    if embedding.item_ids != pool_ids:
-        missing = set(pool_ids) - set(embedding.item_ids)
+    if embedding.item_ids != matrix.item_ids:
+        missing = set(matrix.item_ids) - set(embedding.item_ids)
         if missing:
             raise ValidationError(
                 f"{label} embeddings missing items: {sorted(missing)[:5]}"
@@ -138,7 +133,7 @@ def assemble_combined(
         [[float(it.needs_audio_in), float(it.needs_audio_out)] for it in matrix.items]
     )
     combined = np.hstack([ac, se, perf, meta])
-    return EmbeddingSet("combined", tuple(it.item_id for it in matrix.items), combined)
+    return EmbeddingSet("combined", matrix.item_ids, combined)
 
 
 def load_embedding_csv(path: str | Path, matrix: ScoreMatrix, kind: str) -> EmbeddingSet:
@@ -168,10 +163,10 @@ def load_embedding_csv(path: str | Path, matrix: ScoreMatrix, kind: str) -> Embe
                 raise ValidationError(f"{path}:{lineno}: non-numeric value") from None
 
     vectors = np.empty((matrix.n_items, width))
-    for pos, it in enumerate(matrix.items):
-        if it.item_id not in rows:
-            raise ValidationError(f"{path}: missing embedding for item {it.item_id!r}")
-        vectors[pos] = rows.pop(it.item_id)
+    for pos, item_id in enumerate(matrix.item_ids):
+        if item_id not in rows:
+            raise ValidationError(f"{path}: missing embedding for item {item_id!r}")
+        vectors[pos] = rows.pop(item_id)
     if rows:
         raise ValidationError(f"{path}: embeddings for unknown items {sorted(rows)[:5]}")
-    return EmbeddingSet(kind, tuple(it.item_id for it in matrix.items), vectors)
+    return EmbeddingSet(kind, matrix.item_ids, vectors)

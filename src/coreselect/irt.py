@@ -68,7 +68,7 @@ def binarize(matrix: ScoreMatrix) -> BinarizedResponses:
         (matrix.values >= c).astype(np.float64),
         c,
         matrix.model_ids,
-        tuple(it.item_id for it in matrix.items),
+        matrix.item_ids,
     )
 
 
@@ -167,46 +167,35 @@ def fit_m2pl(
     epochs: int = 500,
     lr: float = 0.1,
     seed: int = 0,
-    optimizer: str = "adam",
 ) -> IrtModel:
-    """MAP fit of the M2PL model by full-batch gradient ascent.
+    """MAP fit of the M2PL model by full-batch Adam gradient ascent.
 
-    The default optimizer is Adam (lr 0.1, 500 epochs); optimizer="plain"
-    takes raw gradient steps, which is monotone in the log-posterior for
-    small enough lr. Parameters start from seeded normals scaled by 0.1.
+    Runs a fixed number of epochs (default 500 at lr 0.1) from seeded
+    normals scaled by 0.1.
     """
     y = responses.values
     k, n = y.shape
     if k < 2 or n < 2:
         raise ValidationError("M2PL fit needs at least 2 models and 2 items")
-    if optimizer not in ("adam", "plain"):
-        raise ValidationError(f"unknown optimizer {optimizer!r}")
 
     rng = np.random.default_rng(seed)
     alpha = 0.1 * rng.standard_normal((n, d))
     beta = 0.1 * rng.standard_normal(n)
     theta = 0.1 * rng.standard_normal((k, d))
 
-    if optimizer == "plain":
-        for _ in range(epochs):
-            g_alpha, g_beta, g_theta = log_posterior_gradients(alpha, beta, theta, y)
-            alpha = alpha + lr * g_alpha
-            beta = beta + lr * g_beta
-            theta = theta + lr * g_theta
-    else:
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        params = [alpha, beta, theta]
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
-        for step in range(1, epochs + 1):
-            grads = log_posterior_gradients(*params, y)
-            for idx, g in enumerate(grads):
-                m[idx] = b1 * m[idx] + (1 - b1) * g
-                v[idx] = b2 * v[idx] + (1 - b2) * g**2
-                m_hat = m[idx] / (1 - b1**step)
-                v_hat = v[idx] / (1 - b2**step)
-                params[idx] = params[idx] + lr * m_hat / (np.sqrt(v_hat) + eps)
-        alpha, beta, theta = params
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    params = [alpha, beta, theta]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for step in range(1, epochs + 1):
+        grads = log_posterior_gradients(*params, y)
+        for idx, g in enumerate(grads):
+            m[idx] = b1 * m[idx] + (1 - b1) * g
+            v[idx] = b2 * v[idx] + (1 - b2) * g**2
+            m_hat = m[idx] / (1 - b1**step)
+            v_hat = v[idx] / (1 - b2**step)
+            params[idx] = params[idx] + lr * m_hat / (np.sqrt(v_hat) + eps)
+    alpha, beta, theta = params
 
     return IrtModel(
         d=d,
@@ -280,16 +269,15 @@ def pirt_scores(
     by their balance weights and tasks are averaged equally, matching the
     full-pool reference score definition.
     """
-    pool_ids = tuple(it.item_id for it in matrix.items)
-    if irt.item_ids != pool_ids:
+    if irt.item_ids != matrix.item_ids:
         raise ValidationError("IRT model items do not match the pool")
     anchor_pos = np.asarray([matrix.item_position(i) for i in subset.item_ids])
     y = (matrix.values >= irt.threshold).astype(np.float64)
-    b = balance_weights(matrix).weights
+    b = balance_weights(matrix)
     scores = np.empty(len(model_ids))
     for out_idx, model_id in enumerate(model_ids):
         row = matrix.model_position(model_id)
-        responses = {pool_ids[p]: int(y[row, p]) for p in anchor_pos}
+        responses = {matrix.item_ids[p]: int(y[row, p]) for p in anchor_pos}
         theta_hat = estimate_ability(responses, irt)
         s = sigmoid(irt.alpha @ theta_hat - irt.beta)
         s[anchor_pos] = y[row, anchor_pos]

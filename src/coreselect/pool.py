@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,7 +27,12 @@ import numpy as np
 
 from .errors import ValidationError
 
-NORMALIZATION_KINDS = ("identity", "one_minus_capped_error", "affine_unit")
+# each normalization kind and the params its config entry must give
+NORMALIZATION_KINDS = {
+    "identity": (),
+    "one_minus_capped_error": ("cap",),
+    "affine_unit": ("lo", "hi"),
+}
 
 
 @dataclass(frozen=True)
@@ -83,22 +89,20 @@ class NormalizationRule:
 
     @classmethod
     def from_config(cls, entry: Mapping) -> "NormalizationRule":
+        """Parse one ``{"kind": ..., "params": {...}}`` norm-config entry."""
+        if not isinstance(entry, Mapping):
+            raise ValidationError(f"expected a rule object, got {entry!r}")
         kind = entry.get("kind")
         params = entry.get("params", {})
-        if kind == "identity":
-            return cls.identity()
-        if kind == "one_minus_capped_error":
-            return cls.one_minus_capped_error(params["cap"])
-        if kind == "affine_unit":
-            return cls.affine_unit(params["lo"], params["hi"])
-        raise ValidationError(f"unknown normalization kind {kind!r}")
-
-    def to_config(self) -> dict:
-        if self.kind == "one_minus_capped_error":
-            return {"kind": self.kind, "params": {"cap": self.cap}}
-        if self.kind == "affine_unit":
-            return {"kind": self.kind, "params": {"lo": self.lo, "hi": self.hi}}
-        return {"kind": self.kind}
+        if kind not in NORMALIZATION_KINDS:
+            raise ValidationError(f"unknown normalization kind {kind!r}")
+        values = {}
+        for name in NORMALIZATION_KINDS[kind]:
+            try:
+                values[name] = float(params[name])
+            except (KeyError, TypeError, ValueError):
+                raise ValidationError(f"{kind} needs a numeric param {name!r}") from None
+        return cls(kind, **values)
 
 
 def normalize(raw: float, rule: NormalizationRule) -> float:
@@ -134,6 +138,7 @@ class ScoreMatrix:
     model_ids: tuple[str, ...]
     items: tuple[ItemRecord, ...]
     values: np.ndarray  # K x N, float64, all in [0,1]
+    item_ids: tuple[str, ...] = field(init=False, repr=False)
     task_index: dict[str, np.ndarray] = field(init=False, repr=False)
     _item_pos: dict[str, int] = field(init=False, repr=False)
     _model_pos: dict[str, int] = field(init=False, repr=False)
@@ -149,8 +154,8 @@ class ScoreMatrix:
             )
         if len(set(self.model_ids)) != len(self.model_ids):
             raise ValidationError("duplicate model ids")
-        ids = [it.item_id for it in self.items]
-        if len(set(ids)) != len(ids):
+        self.item_ids = tuple(it.item_id for it in self.items)
+        if len(set(self.item_ids)) != len(self.item_ids):
             raise ValidationError("duplicate item ids")
         if values.size and (not np.isfinite(values).all()):
             raise ValidationError("non-finite score values")
@@ -163,7 +168,7 @@ class ScoreMatrix:
         for pos, it in enumerate(self.items):
             index.setdefault(it.task_id, []).append(pos)
         self.task_index = {t: np.asarray(p, dtype=np.intp) for t, p in index.items()}
-        self._item_pos = {it.item_id: pos for pos, it in enumerate(self.items)}
+        self._item_pos = {item_id: pos for pos, item_id in enumerate(self.item_ids)}
         self._model_pos = {m: pos for pos, m in enumerate(self.model_ids)}
 
     @property
@@ -178,9 +183,14 @@ class ScoreMatrix:
     def n_tasks(self) -> int:
         return len(self.task_index)
 
-    @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(self.task_index)
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """Item positions sorted by item_id (read-only). A stable sort of any
+        per-item key taken in this order breaks ties toward the lowest item_id."""
+        order = np.asarray(sorted(range(self.n_items), key=self.item_ids.__getitem__),
+                           dtype=np.intp)
+        order.flags.writeable = False
+        return order
 
     def item_position(self, item_id: str) -> int:
         try:
@@ -323,7 +333,13 @@ def load_norm_config(path: str | Path) -> dict[str, NormalizationRule]:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected a JSON object of metric -> rule")
-    return {metric: NormalizationRule.from_config(entry) for metric, entry in raw.items()}
+    rules = {}
+    for metric, entry in raw.items():
+        try:
+            rules[metric] = NormalizationRule.from_config(entry)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: metric {metric!r}: {exc}") from None
+    return rules
 
 
 def load_pool(

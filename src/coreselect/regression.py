@@ -195,17 +195,6 @@ class ProtocolReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _pearson_or_none(x: np.ndarray, y: np.ndarray) -> float | None:
-    if x.max() == x.min() or y.max() == y.min():
-        return None  # zero variance, correlation undefined
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = float(np.sqrt((xc**2).sum() * (yc**2).sum()))
-    if denom == 0.0:
-        return None
-    return float((xc @ yc) / denom)
-
-
 def _align_ratings(
     subset_scores: np.ndarray, ratings: HumanRatingsTable, dimension: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -231,6 +220,8 @@ def preference_lomo(
     fold Pearson; heldout_pearson additionally correlates only the held-out
     predictions collected across folds.
     """
+    from .evaluation import pearson_flagged  # evaluation imports selectors, which imports this
+
     x, y = _align_ratings(subset_scores, ratings, dimension)
     k = x.shape[0]
     if k < 3:
@@ -242,18 +233,19 @@ def preference_lomo(
         model = ridge_cv(x[train], y[train], grid, folds=k - 1)
         preds = model.predict(x)
         heldout_preds[t] = preds[t]
-        r = _pearson_or_none(preds, y)
+        r, degenerate = pearson_flagged(preds, y)
         report.folds.append(
             FoldOutcome(
                 held_out=(ratings.model_ids[t],),
                 lam=model.lam,
-                pearson_r=r,
-                degenerate=r is None,
+                pearson_r=None if degenerate else r,
+                degenerate=degenerate,
             )
         )
     defined = [f.pearson_r for f in report.folds if f.pearson_r is not None]
     report.mean_pearson = float(np.mean(defined)) if defined else None
-    report.heldout_pearson = _pearson_or_none(heldout_preds, y)
+    r, degenerate = pearson_flagged(heldout_preds, y)
+    report.heldout_pearson = None if degenerate else r
     return report
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .pool import ScoreMatrix
 from .embeddings import EmbeddingSet, assemble_combined, pca_reduce, performance_embeddings
-from .weighting import BalanceWeights, SubsetSpec, balance_weights, reference_scores
+from .weighting import SubsetSpec, balance_weights, reference_scores
 from .weighting import apw_scores, renormalized_balance_scores
 from .regression import RidgeModel, ridge_cv
 from . import irt as irt_mod
@@ -128,7 +128,7 @@ def _weighted_objective(
 
 def weighted_kmeans(
     points: np.ndarray,
-    weights: BalanceWeights | np.ndarray,
+    weights: np.ndarray,
     k: int,
     seed: int,
     max_iter: int = KMEANS_MAX_ITER,
@@ -144,7 +144,7 @@ def weighted_kmeans(
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError("points must be a 2-D array")
-    w = weights.weights if isinstance(weights, BalanceWeights) else np.asarray(weights)
+    w = np.asarray(weights)
     n = points.shape[0]
     if w.shape != (n,) or (w <= 0).any():
         raise ValidationError("weights must be positive and aligned with points")
@@ -209,26 +209,27 @@ def _draw_balanced(
     if n > matrix.n_items:
         raise ValidationError(f"n={n} exceeds pool size {matrix.n_items}")
     idx = rng.choice(matrix.n_items, size=n, replace=False, p=p, shuffle=False)
-    return [matrix.items[i].item_id for i in idx]
+    return [matrix.item_ids[i] for i in idx]
 
 
 def select_random_balanced(matrix: ScoreMatrix, n: int, seed: int) -> SubsetSpec:
     """Task-balanced random draw without replacement, uniform weights."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0, 0]))
-    b = balance_weights(matrix).weights
+    b = balance_weights(matrix)
     ids = _draw_balanced(matrix, n, b / b.sum(), rng)
     return SubsetSpec.uniform("random_balanced", ids, seed)
 
 
 def select_variance_top(matrix: ScoreMatrix, n: int, seed: int = 0) -> SubsetSpec:
     """Top-n items by sample variance across models (K-1 denominator),
-    ties broken by item_id ascending."""
+    ties broken toward the lowest item_id."""
     _require_models(matrix, 2, "variance selection")
     if n > matrix.n_items:
         raise ValidationError(f"n={n} exceeds pool size {matrix.n_items}")
+    by_id = matrix.id_order
     var = matrix.values.var(axis=0, ddof=1)
-    order = sorted(range(matrix.n_items), key=lambda i: (-var[i], matrix.items[i].item_id))
-    ids = [matrix.items[i].item_id for i in order[:n]]
+    order = by_id[np.argsort(-var[by_id], kind="stable")]
+    ids = [matrix.item_ids[i] for i in order[:n]]
     return SubsetSpec.uniform("variance_top", ids, seed)
 
 
@@ -251,10 +252,8 @@ def select_difficulty_stratified(
     for pos in matrix.task_index.values():
         task_sizes[pos] = len(pos)
 
-    order = np.asarray(
-        sorted(range(matrix.n_items), key=lambda i: (difficulty[i], matrix.items[i].item_id)),
-        dtype=np.intp,
-    )
+    by_id = matrix.id_order
+    order = by_id[np.argsort(difficulty[by_id], kind="stable")]  # ties to the lowest item_id
     # empirical quantile bins: contiguous rank groups, the first N mod B one item larger
     groups = np.array_split(order, bins)
     chosen: list[int] = []
@@ -296,7 +295,7 @@ def select_difficulty_stratified(
 
     if len(chosen) != n:
         raise ValidationError(f"stratified draw produced {len(chosen)} items, wanted {n}")
-    ids = [matrix.items[i].item_id for i in chosen]
+    ids = [matrix.item_ids[i] for i in chosen]
     return SubsetSpec.uniform("difficulty_stratified", ids, seed)
 
 
@@ -313,17 +312,16 @@ def select_anchor_points(
     Items are processed in item_id order so every tie (anchor choice, the
     degenerate identical-pool rule) resolves toward the lowest item_id.
     """
-    pool_ids = tuple(it.item_id for it in matrix.items)
-    if embeddings.item_ids != pool_ids:
+    if embeddings.item_ids != matrix.item_ids:
         raise ValidationError("embedding rows do not match the pool")
     if n > matrix.n_items:
         raise ValidationError(f"n={n} exceeds pool size {matrix.n_items}")
-    b = balance_weights(matrix).weights
-    by_id = np.asarray(sorted(range(matrix.n_items), key=lambda i: pool_ids[i]), dtype=np.intp)
+    b = balance_weights(matrix)
+    by_id = matrix.id_order
     result = weighted_kmeans(embeddings.vectors[by_id], b[by_id], n, seed)
     cluster_w = result.cluster_weight(b[by_id])
     entries = tuple(
-        (pool_ids[by_id[row]], float(cw))
+        (matrix.item_ids[by_id[row]], float(cw))
         for row, cw in zip(result.anchor_rows, cluster_w)
     )
     return SubsetSpec(method_name, n, seed, entries), result
@@ -369,7 +367,7 @@ def select_learn(
     ref = reference_scores(matrix)
     method = "random_sampling_learn" if mode == "sampling" else "random_search_learn"
     cv_folds = min(5, k)
-    b = balance_weights(matrix).weights
+    b = balance_weights(matrix)
     p = b / b.sum()  # draw probabilities, shared by every candidate
 
     def candidate(index: int) -> list[str]:

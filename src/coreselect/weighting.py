@@ -14,33 +14,17 @@ from .pool import ScoreMatrix
 WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BalanceWeights:
-    """Per-item weights b_i = 1/(T * |task|); every task contributes equally."""
-
-    item_ids: tuple[str, ...]
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(self.item_ids),):
-            raise ValidationError("balance weights misaligned with item ids")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError("balance weights do not sum to 1")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-
-def balance_weights(matrix: ScoreMatrix) -> BalanceWeights:
-    """b_i = 1/(T * |T_t|) for item i in task t, aligned with pool item order."""
+def balance_weights(matrix: ScoreMatrix) -> np.ndarray:
+    """Read-only per-item weights b_i = 1/(T * |T_t|) for item i in task t,
+    aligned with pool item order: every task contributes equally."""
     n_tasks = matrix.n_tasks
     if n_tasks == 0:
         raise ValidationError("empty task table")
     w = np.empty(matrix.n_items)
     for positions in matrix.task_index.values():
         w[positions] = 1.0 / (n_tasks * len(positions))
-    return BalanceWeights(tuple(it.item_id for it in matrix.items), w)
+    w.flags.writeable = False
+    return w
 
 
 def reference_score(matrix: ScoreMatrix, model_id: str) -> float:
@@ -143,7 +127,7 @@ def renormalized_balance_scores(matrix: ScoreMatrix, subset: SubsetSpec) -> np.n
     variance, difficulty): the full-pool task balance is preserved as far as
     the subset's task coverage allows.
     """
-    b = balance_weights(matrix).weights
+    b = balance_weights(matrix)
     positions = np.asarray([matrix.item_position(i) for i in subset.item_ids])
     w = b[positions]
     return matrix.values[:, positions] @ (w / w.sum())

@@ -323,3 +323,62 @@ def test_full_pipeline_rerun_is_byte_identical(tmp_path):
     assert names_a == names_b
     for (name, blob_a), (_, blob_b) in zip(*digests):
         assert blob_a == blob_b, f"{name} differs between reruns"
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "one_minus_capped_error"},
+    "identity",
+    {"kind": "affine_unit", "params": {"lo": "a", "hi": 1}},
+    {"kind": "affine_unit", "params": {"lo": 0}},
+], ids=["cap_missing", "bare_string", "lo_not_numeric", "hi_missing"])
+def test_ingest_malformed_norm_config_entry_exits_1(tmp_path, capsys, entry):
+    data = make_pool_files(tmp_path)
+    (data / "norm_config.json").write_text(json.dumps({"native": entry}))
+    code = run_cli(
+        "ingest", "--items", data / "items.csv", "--scores", data / "scores.csv",
+        "--norm-config", data / "norm_config.json", "--out", tmp_path / "bundle",
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert "'native'" in err["error"]
+
+
+def _drop_items(path):
+    data = json.loads(path.read_text())
+    del data["items"]
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("case", [
+    "regress_subset_without_items", "export_subset_without_items",
+    "pool_without_items", "regression_not_json", "no_methods",
+])
+def test_malformed_json_inputs_exit_1(tmp_path, capsys, case):
+    data = make_pool_files(tmp_path, rated_models=7)
+    bundle = ingest(tmp_path, data)
+    sel = tmp_path / "sel"
+    assert run_cli("select", "--bundle", bundle, "--method", "random_balanced",
+                   "--n", 10, "--seed", 2, "--out", sel) == 0
+    subset = sel / "subset.json"
+    capsys.readouterr()
+    if case == "regress_subset_without_items":
+        argv = ["regress", "--bundle", bundle, "--subset", _drop_items(subset),
+                "--ratings", data / "ratings.csv", "--protocol", "lomo"]
+    elif case == "export_subset_without_items":
+        argv = ["export", "--subset", _drop_items(subset)]
+    elif case == "pool_without_items":
+        _drop_items(bundle / "pool.json")
+        argv = ["select", "--bundle", bundle, "--method", "random_balanced",
+                "--n", 10, "--seed", 2]
+    elif case == "regression_not_json":
+        (tmp_path / "ridge.json").write_text("not json\n")
+        argv = ["export", "--subset", subset, "--regression",
+                f"overall={tmp_path / 'ridge.json'}"]
+    else:
+        argv = ["evaluate", "--bundle", bundle, "--methods", " , ", "--sizes", "4,8",
+                "--folds", 2, "--repeats", 1, "--seed", 5]
+    assert run_cli(*argv, "--out", tmp_path / "out") == 1
+    assert json.loads(capsys.readouterr().err.strip())["kind"] == "validation"
+    assert not (tmp_path / "out").exists()

@@ -5,6 +5,7 @@ import pytest
 
 from coreselect.embeddings import performance_embeddings
 from coreselect.errors import ValidationError
+from coreselect.pool import ItemRecord, ScoreMatrix
 from coreselect.selectors import (
     SelectorConfig,
     run_selector,
@@ -180,6 +181,29 @@ def test_variance_invariant_to_model_order(rng):
     assert select_variance_top(m, 5).item_ids == select_variance_top(shuffled, 5).item_ids
 
 
+def test_tie_breaks_match_tuple_sort_reference(rng):
+    # heavy ties (constant columns give var -0.0 after negation), item ids not
+    # in pool order; the reference sorts (key, item_id) tuples
+    for _ in range(50):
+        n = int(rng.integers(2, 30))
+        ids = [f"i{j:04d}" for j in rng.permutation(n)]
+        items = tuple(ItemRecord(i, f"t{p % 3}", "native", False, False)
+                      for p, i in enumerate(ids))
+        m = ScoreMatrix(("a", "b", "c"), items, rng.choice([0.0, 0.5, 1.0], size=(3, n)))
+        assert list(m.id_order) == sorted(range(n), key=lambda i: ids[i])
+        var = m.values.var(axis=0, ddof=1)
+        by_var = sorted(range(n), key=lambda i: (-var[i], ids[i]))
+        assert select_variance_top(m, n).item_ids == tuple(ids[i] for i in by_var)
+        difficulty = 1.0 - m.values.mean(axis=0)
+        by_difficulty = sorted(range(n), key=lambda i: (difficulty[i], ids[i]))
+        # one bin per item: the draw takes the items in difficulty order
+        sub = select_difficulty_stratified(m, n, n, seed=0)
+        assert sub.item_ids == tuple(ids[i] for i in by_difficulty)
+    flat = ScoreMatrix(("a", "b"), items, np.full((2, n), 0.5))
+    sub, _ = select_anchor_points(performance_embeddings(flat), flat, 2, seed=0)
+    assert sub.item_ids == tuple(sorted(ids)[:2])
+
+
 # ------------------------------------------------- difficulty stratified
 
 def difficulty_rank_bins(matrix, bins):
@@ -243,9 +267,8 @@ def test_stratified_deterministic(rng):
 def test_anchor_full_pool_weights_equal_balance(rng):
     m = random_matrix(rng, 3, [3, 5])
     sub, _ = select_anchor_points(performance_embeddings(m), m, m.n_items, seed=0)
-    b = balance_weights(m)
     got = dict(sub.entries)
-    for item_id, weight in zip(b.item_ids, b.weights):
+    for item_id, weight in zip(m.item_ids, balance_weights(m)):
         assert got[item_id] == pytest.approx(weight, abs=1e-12)
 
 
@@ -308,7 +331,7 @@ def test_learn_search_keeps_argmin_candidate(rng):
     # the kept subset is the argmin candidate: re-derive that candidate's draw
     kept_rank = sel.candidate_mae.index(min(sel.candidate_mae))
     rng_i = np.random.default_rng(np.random.SeedSequence([7, 0, kept_rank]))
-    b = balance_weights(m).weights
+    b = balance_weights(m)
     assert tuple(_draw_balanced(m, 5, b / b.sum(), rng_i)) == sel.subset.item_ids
     assert all(min(sel.candidate_mae) <= mae for mae in sel.candidate_mae)
 

@@ -18,22 +18,23 @@ from conftest import make_matrix, random_matrix
 
 def test_balance_weights_two_task_example():
     m = make_matrix(np.zeros((2, 5)), [2, 3])
-    w = balance_weights(m).weights
+    w = balance_weights(m)
     assert w[:2] == pytest.approx([0.25, 0.25])
     assert w[2:] == pytest.approx([1 / 6] * 3)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert not w.flags.writeable
 
 
 def test_balance_weights_single_task_uniform():
     m = make_matrix(np.zeros((2, 4)), [4])
-    assert balance_weights(m).weights == pytest.approx([0.25] * 4)
+    assert balance_weights(m) == pytest.approx([0.25] * 4)
 
 
 def test_balance_weights_wide_task_table():
     # 40 tasks, one of them with 200 items -> that task's items weigh 1/8000
     sizes = [200] + [10] * 39
     m = make_matrix(np.zeros((2, sum(sizes))), sizes)
-    w = balance_weights(m).weights
+    w = balance_weights(m)
     assert w[0] == pytest.approx(1.0 / 8000.0, abs=1e-15)
 
 
@@ -42,7 +43,7 @@ def test_balance_weights_sum_to_one_property(rng):
         t = int(rng.integers(1, 12))
         sizes = [int(rng.integers(1, 30)) for _ in range(t)]
         m = random_matrix(rng, 2, sizes)
-        assert abs(balance_weights(m).weights.sum() - 1.0) < 1e-9
+        assert abs(balance_weights(m).sum() - 1.0) < 1e-9
 
 
 def test_reference_score_task_mean_example():
@@ -61,7 +62,7 @@ def test_reference_score_equals_balance_weighted_sum(rng):
         t = int(rng.integers(1, 8))
         sizes = [int(rng.integers(1, 15)) for _ in range(t)]
         m = random_matrix(rng, int(rng.integers(2, 6)), sizes)
-        b = balance_weights(m).weights
+        b = balance_weights(m)
         for k, model_id in enumerate(m.model_ids):
             direct = reference_score(m, model_id)
             weighted = float(b @ m.values[k])
