@@ -118,7 +118,6 @@ def _selector_params(args: argparse.Namespace) -> dict:
     for key, default in _SELECTOR_DEFAULTS.items():
         flag = getattr(args, key, None)
         merged[key] = flag if flag is not None else from_file.get(key, default)
-    merged["lambda_grid"] = tuple(merged["lambda_grid"])
     merged["method"] = getattr(args, "method", None) or from_file.get("method")
     merged["n"] = args.n if getattr(args, "n", None) is not None else from_file.get("n")
     return merged

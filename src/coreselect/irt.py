@@ -9,7 +9,6 @@ subset score that estimates the full-pool task-averaged score.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -119,9 +118,6 @@ class IrtModel:
                 for m, row in zip(self.model_ids, self.theta)
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "IrtModel":

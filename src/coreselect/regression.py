@@ -4,7 +4,6 @@ leave-one-model-out and exhaustive 5-2 pairwise preference protocols."""
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -52,9 +51,6 @@ class RidgeModel:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "RidgeModel":
         items = data["items"]
@@ -101,6 +97,36 @@ def ridge_fit(
     return RidgeModel(w, b, float(lam), tuple(item_ids) if item_ids else None)
 
 
+def _cv_errors(x: np.ndarray, y: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray:
+    """Mean over the stripe folds of each fold's held-out MSE, for every lambda.
+
+    One m x m kernel eigendecomposition serves the whole grid. With Q an
+    orthonormal basis of the complement of the intercept direction 1,
+    Z = Q'X and eigh(ZZ') = V diag(s) V', W = QV gives
+    I - H = W diag(lam / (s + lam)) W' (ESL 3.4.1). The residuals of the fit
+    without fold F are (I - H)_FF^-1 e_F with e = (I - H) y (ESL 7.10).
+    Projecting through Q, rather than subtracting 11'/m from H, keeps the
+    residual operator accurate to rounding when lam << s.
+    """
+    m = x.shape[0]
+    q = np.linalg.qr(np.ones((m, 1)), mode="complete")[0][:, 1:]
+    z = q.T @ x
+    s, v = np.linalg.eigh(z @ z.T)
+    w = q @ v
+    shrink = grid[:, None] / (np.maximum(s, 0.0) + grid[:, None])
+    resid_op = (w * shrink[:, None, :]) @ w.T  # (lambdas, m, m): I - H
+    e = resid_op @ y
+    fold_rows = [np.arange(f, m, folds) for f in range(folds)]
+    fold_mse = np.empty((grid.size, folds))
+    for size in {rows.size for rows in fold_rows}:  # folds differ in size by <= 1
+        group = [f for f in range(folds) if fold_rows[f].size == size]
+        held = np.array([fold_rows[f] for f in group])
+        block = resid_op[:, held[:, :, None], held[:, None, :]]
+        r = np.linalg.solve(block, e[:, held, None])[..., 0]
+        fold_mse[:, group] = np.mean(r**2, axis=2)
+    return fold_mse.mean(axis=1)
+
+
 def ridge_cv(
     x: np.ndarray,
     y: np.ndarray,
@@ -108,16 +134,25 @@ def ridge_cv(
     folds: int,
     item_ids: Sequence[str] | None = None,
 ) -> RidgeModel:
-    """Pick lambda by K-fold CV (ties go to the larger lambda), refit on all rows.
+    """Pick lambda by K-fold CV, refit on all rows with ridge_fit.
 
     Fold assignment is the deterministic stripe row i -> fold i mod folds;
-    with folds equal to the number of rows this is leave-one-out.
+    with folds equal to the number of rows this is leave-one-out. The CV
+    error of a lambda is the mean of its per-fold held-out MSEs, computed in
+    kernel form (_cv_errors), which reproduces the per-fold refits up to
+    rounding. Ties go to the larger lambda: the pick is the largest lambda
+    whose error is <= min * (1 + 1e-10) + 1e-24 * mean(y^2), so that rounding
+    noise (a constant y, two-row training folds) cannot decide it. Every
+    grid value must be finite and > 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    grid = [float(g) for g in grid]
+    grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValidationError("empty lambda grid")
+    for lam in grid:
+        if not (np.isfinite(lam) and lam > 0.0):
+            raise ValidationError(f"lambda grid values must be finite and > 0, got {lam}")
     if len(grid) == 1:
         return ridge_fit(x, y, grid[0], item_ids)
     m = x.shape[0]
@@ -126,20 +161,9 @@ def ridge_cv(
     if folds > m:
         raise ValidationError(f"folds={folds} exceeds {m} rows")
 
-    assignment = np.arange(m) % folds
-    best_lam = None
-    best_err = np.inf
-    for lam in sorted(grid):
-        fold_errs = []
-        for f in range(folds):
-            held = assignment == f
-            model = ridge_fit(x[~held], y[~held], lam)
-            resid = model.predict(x[held]) - y[held]
-            fold_errs.append(float(np.mean(resid**2)))
-        err = float(np.mean(fold_errs))
-        if err <= best_err:  # <= so equal error prefers the larger lambda
-            best_err = err
-            best_lam = lam
+    errs = _cv_errors(x, y, np.asarray(grid), folds)
+    tol = float(errs.min()) * (1.0 + 1e-10) + 1e-24 * float(np.mean(y**2))
+    best_lam = grid[int(np.flatnonzero(errs <= tol)[-1])]
     return ridge_fit(x, y, best_lam, item_ids)
 
 
@@ -190,9 +214,6 @@ class ProtocolReport:
         else:
             out["accuracy"] = self.accuracy
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _align_ratings(

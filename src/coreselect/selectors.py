@@ -14,6 +14,7 @@ prediction for those rows of the full matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -48,10 +49,17 @@ class SelectorConfig:
     irt_lr: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise ValidationError(
                 f"unknown method {self.method!r}; valid: {', '.join(METHODS)}"
             )
+        for name in ("seed", "n", "bins", "n_search", "pca_dim", "irt_dim", "irt_epochs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer")
+        for name in ("holdout_fraction", "irt_lr"):
+            if not _is_real(getattr(self, name)):
+                raise ValidationError(f"{name} must be a finite real number")
         for name in ("n", "bins", "n_search", "pca_dim", "irt_dim", "irt_epochs"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
@@ -59,8 +67,18 @@ class SelectorConfig:
             raise ValidationError("irt_lr must be > 0")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValidationError("holdout_fraction must be in (0, 1)")
+        if not isinstance(self.lambda_grid, (list, tuple)):
+            raise ValidationError("lambda_grid must be a list of numbers")
         if not self.lambda_grid:
             raise ValidationError("empty lambda grid")
+        for lam in self.lambda_grid:
+            if not (_is_real(lam) and lam > 0.0):
+                raise ValidationError(f"lambda_grid values must be finite and > 0, got {lam!r}")
+        object.__setattr__(self, "lambda_grid", tuple(self.lambda_grid))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -89,17 +88,10 @@ class SubsetSpec:
             "items": [{"item_id": i, "weight": float(w)} for i, w in self.entries],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SubsetSpec":
         entries = tuple((d["item_id"], float(d["weight"])) for d in data["items"])
         return cls(data["method"], int(data["n"]), int(data["seed"]), entries)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SubsetSpec":
-        return cls.from_json_dict(json.loads(text))
 
     @classmethod
     def uniform(cls, method: str, item_ids: Sequence[str], seed: int) -> "SubsetSpec":

@@ -232,6 +232,31 @@ def test_select_validates_selector_params(tmp_path, capsys, flags, code):
         assert len(json.loads((out / "subset.json").read_text())["items"]) == 10
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"bins": "x"}, "bins must be an integer"),
+    ({"lambda_grid": 5}, "lambda_grid must be a list"),
+    ({"lambda_grid": ["a", 1]}, "got 'a'"),
+    ({"n_search": 2.5}, "n_search must be an integer"),
+    ({"holdout_fraction": "0.3"}, "holdout_fraction must be a finite real"),
+    ({"lambda_grid": [0, 1]}, "got 0"),
+    ({"lambda_grid": [-1, 1]}, "got -1"),
+], ids=["bins_str", "grid_int", "grid_str_value", "n_search_float", "holdout_str",
+        "grid_zero", "grid_negative"])
+def test_select_ill_typed_config_exits_1(tmp_path, capsys, entry, message):
+    data = make_pool_files(tmp_path)
+    bundle = ingest(tmp_path, data)
+    config = tmp_path / "selector.json"
+    config.write_text(json.dumps(entry))
+    capsys.readouterr()
+    out = tmp_path / "sel"
+    assert run_cli("select", "--bundle", bundle, "--method", "difficulty_stratified",
+                   "--n", 10, "--seed", 7, "--config", config, "--out", out) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert message in err["error"]
+    assert not out.exists()
+
+
 def test_regress_lomo_and_export(tmp_path):
     data = make_pool_files(tmp_path, rated_models=7)
     bundle = ingest(tmp_path, data)

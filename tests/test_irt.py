@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from coreselect.cli import _canonical_json
 from coreselect.errors import ValidationError
 from coreselect.irt import (
     IrtModel,
@@ -292,7 +295,7 @@ def test_irt_model_json_round_trip(rng):
     values = (rng.random((3, 4)) < 0.5).astype(float)
     m = make_matrix(values, [4])
     fit = fit_m2pl(binarize(m), d=2, epochs=10, seed=2)
-    again = IrtModel.from_json_dict(__import__("json").loads(fit.to_json()))
+    again = IrtModel.from_json_dict(json.loads(_canonical_json(fit.to_json_dict())))
     assert np.allclose(again.alpha, fit.alpha)
     assert np.allclose(again.theta, fit.theta)
     assert again.threshold == fit.threshold

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from coreselect.cli import _canonical_json
 from coreselect.errors import ValidationError
 from coreselect.pool import HumanRatingsTable
 from coreselect.regression import (
@@ -13,6 +16,7 @@ from coreselect.regression import (
     ridge_cv,
     ridge_fit,
 )
+from coreselect.selectors import LEARN_LAMBDA_GRID
 
 
 def augmented_oracle(x, y, lam):
@@ -160,6 +164,61 @@ def test_cv_validation_errors():
         ridge_cv(x, y, (0.1, 1.0), folds=1)
     with pytest.raises(ValidationError):
         ridge_cv(x, y, (0.1, 1.0), folds=7)
+    # every grid value must be finite and > 0, checked before any fit
+    for grid, bad in (((0, 1), "0.0"), ((-1, 1), "-1.0"), ((1.0, np.inf), "inf"),
+                      ((np.nan, 1.0), "nan"), ((0.0,), "0.0")):
+        with pytest.raises(ValidationError, match=f"finite and > 0, got {bad}"):
+            ridge_cv(x, y, grid, folds=3)
+
+
+def primal_cv_lambda(x, y, grid, folds):
+    """The per-fold refit loop: one ridge_fit per lambda x fold, ties to the
+    larger lambda by <=."""
+    assignment = np.arange(x.shape[0]) % folds
+    best_lam, best_err = None, np.inf
+    for lam in sorted(grid):
+        fold_errs = []
+        for f in range(folds):
+            held = assignment == f
+            fit = ridge_fit(x[~held], y[~held], lam)
+            fold_errs.append(float(np.mean((fit.predict(x[held]) - y[held]) ** 2)))
+        err = float(np.mean(fold_errs))
+        if err <= best_err:
+            best_err, best_lam = err, lam
+    return best_lam
+
+
+
+def _lambda_fixtures():
+    """Seeded (x, y, grid, folds) cases for the kernel-form CV."""
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 10))
+        for n in (1, 200):  # 200 >> m, where lambda = 1e-4 barely shrinks
+            yield rng.random((m, n)), rng.random(m), PREFERENCE_LAMBDA_GRID, m
+        x = rng.random((m, 12))
+        yield x, np.full(m, rng.random()), PREFERENCE_LAMBDA_GRID, m  # constant y
+        yield x, rng.integers(1, 7, m) / 6.0, PREFERENCE_LAMBDA_GRID, m  # 1-6 ratings
+        rows = x.copy()
+        rows[1:3] = rows[0]  # identical feature rows
+        yield rows, rng.random(m), PREFERENCE_LAMBDA_GRID, m
+        yield rng.random((3, 5)), rng.random(3), PREFERENCE_LAMBDA_GRID, 3  # two-row training folds
+        yield rng.random((4, 5)), rng.random(4), LEARN_LAMBDA_GRID, 2  # two-row training folds
+        k = int(rng.integers(6, 19))
+        folds = 5 if k % 5 else 4  # k not a multiple of the fold count
+        yield rng.random((k, 50)), rng.random(k), LEARN_LAMBDA_GRID, folds
+
+
+def test_cv_lambda_matches_primal_refit_loop():
+    cases = 0
+    for x, y, grid, folds in _lambda_fixtures():
+        model = ridge_cv(x, y, grid, folds)
+        assert model.lam == primal_cv_lambda(x, y, grid, folds)
+        refit = ridge_fit(x, y, model.lam)
+        assert np.array_equal(model.weights, refit.weights)
+        assert model.intercept == refit.intercept
+        cases += 1
+    assert cases == 24 * 8
 
 
 # ------------------------------------------------------------------ LOMO
@@ -280,7 +339,7 @@ def test_pairwise_needs_four_models(rng):
 
 def test_ridge_model_json_round_trip():
     model = RidgeModel(np.array([0.1, -0.2]), 0.05, 1.0, ("a", "b"))
-    again = RidgeModel.from_json_dict(__import__("json").loads(model.to_json()))
+    again = RidgeModel.from_json_dict(json.loads(_canonical_json(model.to_json_dict())))
     assert np.array_equal(again.weights, model.weights)
     assert again.intercept == model.intercept
     assert again.item_ids == ("a", "b")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from coreselect.cli import _canonical_json
 from coreselect.embeddings import performance_embeddings
 from coreselect.errors import ValidationError
 from coreselect.pool import ItemRecord, ScoreMatrix
@@ -143,7 +144,7 @@ def test_random_balanced_exhaustion_and_determinism(rng):
     assert sorted(full.item_ids) == sorted(it.item_id for it in m.items)
     a = select_random_balanced(m, 4, seed=5)
     b = select_random_balanced(m, 4, seed=5)
-    assert a == b and a.to_json() == b.to_json()
+    assert a == b and _canonical_json(a.to_json_dict()) == _canonical_json(b.to_json_dict())
     assert a.weights == pytest.approx([0.25] * 4)
     with pytest.raises(ValidationError):
         select_random_balanced(m, 8, seed=0)
@@ -259,7 +260,7 @@ def test_stratified_deterministic(rng):
     m = random_matrix(rng, 3, [40])
     a = select_difficulty_stratified(m, 12, 10, seed=8)
     b = select_difficulty_stratified(m, 12, 10, seed=8)
-    assert a.to_json() == b.to_json()
+    assert _canonical_json(a.to_json_dict()) == _canonical_json(b.to_json_dict())
 
 
 # ----------------------------------------------------------- anchor points
@@ -393,8 +394,8 @@ def test_selector_json_determinism(rng):
     m = random_matrix(rng, 5, [10, 10])
     for method in ("random_balanced", "anchor_points", "difficulty_stratified"):
         cfg = SelectorConfig(method, n=7, seed=21)
-        a = run_selector(m, cfg)[0].to_json()
-        b = run_selector(m, cfg)[0].to_json()
+        a = _canonical_json(run_selector(m, cfg)[0].to_json_dict())
+        b = _canonical_json(run_selector(m, cfg)[0].to_json_dict())
         assert a == b
 
 
