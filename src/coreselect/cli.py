@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ValidationError
-from .pool import ScoreMatrix, load_pool, load_ratings
+from .pool import ScoreMatrix, load_pool, load_ratings, read_json
 from .embeddings import load_embedding_csv
 from .weighting import SubsetSpec
 from .selectors import METHODS, SelectorConfig, run_selector
@@ -60,28 +60,11 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int | None,
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _read_json(path: str | Path, parse=dict):
-    """Read one JSON object file and parse it. An unreadable file, invalid
-    JSON, and a missing or ill-typed field are validation errors."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValidationError("expected a JSON object")
-        return parse(data)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing field {exc}") from None
-    except (OSError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
 def _load_bundle(bundle_dir: str) -> ScoreMatrix:
     path = Path(bundle_dir) / "pool.json"
     if not path.exists():
         raise ValidationError(f"no pool bundle at {path}")
-    return _read_json(path, ScoreMatrix.from_json_dict)
+    return read_json(path, ScoreMatrix.from_json_dict)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -110,7 +93,7 @@ def _selector_params(args: argparse.Namespace) -> dict:
     """Merge selector parameters: CLI flag > config file > built-in default."""
     from_file: dict = {}
     if getattr(args, "config", None):
-        from_file = _read_json(args.config)
+        from_file = read_json(args.config)
         unknown = set(from_file) - set(_SELECTOR_DEFAULTS) - {"method", "n"}
         if unknown:
             raise ValidationError(f"{args.config}: unknown keys {sorted(unknown)}")
@@ -219,13 +202,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_regress(args: argparse.Namespace) -> int:
     matrix = _load_bundle(args.bundle)
-    subset = _read_json(args.subset, SubsetSpec.from_json_dict)
+    subset = read_json(args.subset, SubsetSpec.from_json_dict)
     ratings = load_ratings(args.ratings)
-    for model_id in ratings.model_ids:
-        matrix.model_position(model_id)  # rated models must exist in the pool
-
+    rows = [matrix.model_position(m) for m in ratings.model_ids]  # rated models must exist
     positions = [matrix.item_position(i) for i in subset.item_ids]
-    rows = [matrix.model_position(m) for m in ratings.model_ids]
     features = matrix.values[np.asarray(rows)][:, positions]
 
     if args.protocol == "lomo":
@@ -278,14 +258,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    subset = _read_json(args.subset, SubsetSpec.from_json_dict)
+    subset = read_json(args.subset, SubsetSpec.from_json_dict)
     regression = {}
     inputs = {"subset": Path(args.subset)}
     for spec in args.regression or []:
         if "=" not in spec:
             raise ValidationError(f"--regression expects dimension=path, got {spec!r}")
         dim, path = spec.split("=", 1)
-        model = _read_json(path, RidgeModel.from_json_dict)
+        model = read_json(path, RidgeModel.from_json_dict)
         if set(model.item_ids or ()) != set(subset.item_ids):
             raise ValidationError(
                 f"regression model for {dim!r} was fitted on different items"

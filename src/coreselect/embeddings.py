@@ -139,28 +139,31 @@ def assemble_combined(
 def load_embedding_csv(path: str | Path, matrix: ScoreMatrix, kind: str) -> EmbeddingSet:
     """Read ``item_id,v0,v1,...`` rows and align them to the pool item order."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0].strip() != "item_id":
-            raise ValidationError(f"{path}: expected header item_id,v0,v1,...")
-        width = len(header) - 1
-        rows: dict[str, np.ndarray] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != width + 1:
-                raise ValidationError(f"{path}:{lineno}: expected {width + 1} fields")
-            item_id = row[0].strip()
-            if item_id in rows:
-                raise ValidationError(f"{path}: duplicate embedding for {item_id!r}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                rows[item_id] = np.asarray([float(c) for c in row[1:]])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-numeric value") from None
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file") from None
+            if len(header) < 2 or header[0].strip() != "item_id":
+                raise ValidationError(f"{path}: expected header item_id,v0,v1,...")
+            width = len(header) - 1
+            rows: dict[str, np.ndarray] = {}
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != width + 1:
+                    raise ValidationError(f"{path}:{lineno}: expected {width + 1} fields")
+                item_id = row[0].strip()
+                if item_id in rows:
+                    raise ValidationError(f"{path}: duplicate embedding for {item_id!r}")
+                try:
+                    rows[item_id] = np.asarray([float(c) for c in row[1:]])
+                except ValueError:
+                    raise ValidationError(f"{path}:{lineno}: non-numeric value") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
     vectors = np.empty((matrix.n_items, width))
     for pos, item_id in enumerate(matrix.item_ids):

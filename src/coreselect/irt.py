@@ -99,12 +99,6 @@ class IrtModel:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "theta", theta)
 
-    def item_position(self, item_id: str) -> int:
-        try:
-            return self.item_ids.index(item_id)
-        except ValueError:
-            raise ValidationError(f"unknown item id {item_id!r}") from None
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
@@ -211,22 +205,24 @@ def item_embeddings(model: IrtModel) -> EmbeddingSet:
 
 
 def estimate_ability(
-    anchor_responses: Mapping[str, int], model: IrtModel, tol: float = 1e-6,
-    max_iter: int = 500,
+    model: IrtModel, anchor_rows: Sequence[int], responses: np.ndarray,
+    tol: float = 1e-6, max_iter: int = 500,
 ) -> np.ndarray:
     """MAP ability estimate from anchor responses, started at theta = 0.
 
-    Maximizes the anchored Bernoulli log-likelihood plus a standard-normal
-    prior by damped Newton steps; the prior keeps all-correct / all-wrong
-    anchor patterns finite. The objective is strictly concave, so the
-    maximizer is unique.
+    ``anchor_rows`` are the anchors' positions in the model's item order and
+    ``responses`` the target's 0/1 response on each. Maximizes the anchored
+    Bernoulli log-likelihood plus a standard-normal prior by damped Newton
+    steps; the prior keeps all-correct / all-wrong anchor patterns finite.
+    The objective is strictly concave, so the maximizer is unique.
     """
-    if not anchor_responses:
+    if not len(anchor_rows):
         raise ValidationError("empty anchor response set")
-    rows = [model.item_position(i) for i in anchor_responses]
-    a = model.alpha[rows]  # n x d
-    b = model.beta[rows]
-    y = np.asarray([float(anchor_responses[i]) for i in anchor_responses])
+    y = np.asarray(responses, dtype=np.float64)
+    if y.shape != (len(anchor_rows),):
+        raise ValidationError(f"{y.size} anchor responses for {len(anchor_rows)} anchor items")
+    a = model.alpha[anchor_rows]  # n x d
+    b = model.beta[anchor_rows]
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValidationError("anchor responses must be binary")
 
@@ -273,8 +269,7 @@ def pirt_scores(
     scores = np.empty(len(model_ids))
     for out_idx, model_id in enumerate(model_ids):
         row = matrix.model_position(model_id)
-        responses = {matrix.item_ids[p]: int(y[row, p]) for p in anchor_pos}
-        theta_hat = estimate_ability(responses, irt)
+        theta_hat = estimate_ability(irt, anchor_pos, y[row, anchor_pos])
         s = sigmoid(irt.alpha @ theta_hat - irt.beta)
         s[anchor_pos] = y[row, anchor_pos]
         task_vals = [

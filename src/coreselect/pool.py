@@ -270,25 +270,45 @@ class HumanRatingsTable:
         return self.ratings_unit[:, self.dimensions.index(dimension)]
 
 
+def read_json(path: str | Path, parse=dict):
+    """Read one JSON object file and parse it. An unreadable file, invalid
+    JSON, and a missing or ill-typed field are validation errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValidationError("expected a JSON object")
+        return parse(data)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing field {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _read_csv_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ValidationError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(expected_header)} fields")
-            rows.append([c.strip() for c in row])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file") from None
+            if [h.strip() for h in header] != expected_header:
+                raise ValidationError(
+                    f"{path}: expected header {','.join(expected_header)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(expected_header):
+                    raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
+                rows.append([c.strip() for c in row])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return rows
 
 
@@ -325,16 +345,8 @@ def load_items_manifest(path: str | Path) -> tuple[ItemRecord, ...]:
 
 
 def load_norm_config(path: str | Path) -> dict[str, NormalizationRule]:
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: expected a JSON object of metric -> rule")
     rules = {}
-    for metric, entry in raw.items():
+    for metric, entry in read_json(path).items():
         try:
             rules[metric] = NormalizationRule.from_config(entry)
         except ValidationError as exc:

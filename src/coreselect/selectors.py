@@ -257,8 +257,7 @@ def select_difficulty_stratified(
     """Two-phase stratified draw over difficulty quantile bins.
 
     Phase 1 takes floor(n/bins) items per bin with within-bin probabilities
-    proportional to 1/|task|; a short bin spills its quota to the nearest
-    non-empty bin by index. Phase 2 re-bins the unsampled items into
+    proportional to 1/|task|. Phase 2 re-bins the unsampled items into
     r = n mod bins fresh quantile bins and takes one from each.
     """
     _require_models(matrix, 2, "difficulty stratification")
@@ -279,36 +278,23 @@ def select_difficulty_stratified(
 
     def draw_from(pool: np.ndarray, count: int) -> None:
         avail = pool[~taken[pool]]
-        count = min(count, len(avail))
-        if count == 0:
-            return
         p = 1.0 / task_sizes[avail]
         picks = rng.choice(avail, size=count, replace=False, p=p / p.sum(), shuffle=False)
         for i in picks:
             chosen.append(int(i))
             taken[i] = True
 
+    # every bin holds at least floor(N/bins) >= quota items, so no bin runs short
     quota = n // bins
     if quota:
-        deficits = np.zeros(bins, dtype=int)
-        for bi, grp in enumerate(groups):
-            before = len(chosen)
+        for grp in groups:
             draw_from(grp, quota)
-            deficits[bi] = quota - (len(chosen) - before)
-        for bi in np.flatnonzero(deficits):
-            for dist in range(1, bins):
-                for nb in (bi - dist, bi + dist):
-                    if 0 <= nb < bins and deficits[bi] > 0:
-                        before = len(chosen)
-                        draw_from(groups[nb], deficits[bi])
-                        deficits[bi] -= len(chosen) - before
-                if deficits[bi] == 0:
-                    break
 
+    # remainder < bins, and at least remainder items are left unsampled
     remainder = n - len(chosen)
     if remainder:
         unsampled = order[~taken[order]]  # difficulty order preserved
-        for grp in np.array_split(unsampled, min(remainder, bins))[:remainder]:
+        for grp in np.array_split(unsampled, remainder):
             draw_from(grp, 1)
 
     if len(chosen) != n:

@@ -407,3 +407,100 @@ def test_malformed_json_inputs_exit_1(tmp_path, capsys, case):
     assert run_cli(*argv, "--out", tmp_path / "out") == 1
     assert json.loads(capsys.readouterr().err.strip())["kind"] == "validation"
     assert not (tmp_path / "out").exists()
+
+
+# every file-input flag and the synth file that is valid for it
+_FILE_INPUTS = {
+    "items": "items.csv", "scores": "scores.csv", "norm-config": "norm_config.json",
+    "ratings": "ratings.csv", "semantic": "semantic.csv", "acoustic": "acoustic.csv",
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    data = make_pool_files(root, rated_models=7, embedding_dim=6)
+    bundle = ingest(root, data)
+    sel = root / "sel"
+    assert run_cli("select", "--bundle", bundle, "--method", "random_balanced",
+                   "--n", 10, "--seed", 2, "--out", sel) == 0
+    return data, bundle, sel / "subset.json"
+
+
+def _command_reading(flag, path, valid_inputs):
+    """A command whose every input is valid except the --flag file, which is path."""
+    data, bundle, subset = valid_inputs
+    if flag in ("items", "scores", "norm-config"):
+        files = {f: path if f == flag else data / _FILE_INPUTS[f]
+                 for f in ("items", "scores", "norm-config")}
+        return ["ingest", *(a for f, p in files.items() for a in (f"--{f}", p))]
+    if flag == "ratings":
+        return ["regress", "--bundle", bundle, "--subset", subset, "--ratings", path,
+                "--protocol", "lomo"]
+    return ["select", "--bundle", bundle, "--method", "random_balanced", "--n", 10,
+            "--seed", 2, f"--{flag}", path]
+
+
+def _assert_rejects_file(argv, path, out, capsys, fragment=""):
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", out) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert str(path) in err["error"]
+    assert fragment in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("flag", list(_FILE_INPUTS))
+def test_unreadable_input_file_exits_1(tmp_path, capsys, valid_inputs, flag, fault):
+    path = tmp_path / "input"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not_utf8":
+        path.write_bytes(b"\xff\xfe item_id\n")
+    argv = _command_reading(flag, path, valid_inputs)
+    _assert_rejects_file(argv, path, tmp_path / "out", capsys)
+
+
+def _edit_row(text, lineno, edit):
+    lines = text.splitlines()
+    lines[lineno] = ",".join(edit(lines[lineno].split(",")))
+    return "\n".join(lines) + "\n"
+
+
+def _append_row(text, row):
+    return text + ",".join(row) + "\n"
+
+
+@pytest.mark.parametrize("flag, corrupt, fragment", [
+    ("semantic", lambda t: "", "empty file"),
+    ("semantic", lambda t: _edit_row(t, 0, lambda c: ["id", *c[1:]]), "expected header"),
+    ("semantic", lambda t: _edit_row(t, 1, lambda c: c[:-1]), "expected 7 fields"),
+    ("semantic", lambda t: t + t.splitlines()[1] + "\n", "duplicate embedding"),
+    ("semantic", lambda t: _edit_row(t, 1, lambda c: [c[0], "x", *c[2:]]), "non-numeric"),
+    ("semantic", lambda t: _append_row(t, ["nope"] + ["1"] * 6), "unknown items"),
+    ("items", lambda t: "", "empty file"),
+    ("items", lambda t: _edit_row(t, 0, lambda c: ["id", *c[1:]]), "expected header"),
+    ("items", lambda t: _edit_row(t, 1, lambda c: c[:-1]), "expected 5 fields"),
+    ("items", lambda t: _edit_row(t, 1, lambda c: [*c[:3], "2", c[4]]), "must be 0 or 1"),
+    ("items", lambda t: t + t.splitlines()[1] + "\n", "duplicate item id"),
+    ("items", lambda t: t.splitlines()[0] + "\n", "no items"),
+    ("scores", lambda t: _edit_row(t, 1, lambda c: [c[0], "nope", c[2]]), "unknown item id"),
+    ("scores", lambda t: _edit_row(t, 1, lambda c: [*c[:2], "x"]), "bad raw_value"),
+    ("ratings", lambda t: t + t.splitlines()[1] + "\n", "duplicate rating"),
+    ("ratings", lambda t: _edit_row(t, 1, lambda c: [*c[:2], "x"]), "bad mean_rating"),
+    ("norm-config", lambda t: "{", "invalid JSON"),
+    ("norm-config", lambda t: "[]", "expected a JSON object"),
+], ids=[
+    "embedding_empty", "embedding_header", "embedding_fields", "embedding_duplicate",
+    "embedding_non_numeric", "embedding_unknown_item", "items_empty", "items_header",
+    "items_fields", "items_bad_flag", "items_duplicate", "items_none", "scores_unknown_item",
+    "scores_bad_value", "ratings_duplicate", "ratings_bad_value", "norm_invalid_json",
+    "norm_not_object",
+])
+def test_malformed_input_file_exits_1(tmp_path, capsys, valid_inputs, flag, corrupt, fragment):
+    path = tmp_path / _FILE_INPUTS[flag]
+    path.write_text(corrupt((valid_inputs[0] / _FILE_INPUTS[flag]).read_text()))
+    argv = _command_reading(flag, path, valid_inputs)
+    _assert_rejects_file(argv, path, tmp_path / "out", capsys, fragment)

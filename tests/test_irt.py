@@ -180,7 +180,7 @@ def ternary_max(f, lo, hi, iters=200):
 
 def test_single_item_ability_matches_1d_oracle():
     model = _toy_model([[1.0, 0.0, 0.0]], [0.0], d=3)
-    theta = estimate_ability({"i0": 1}, model)
+    theta = estimate_ability(model, [0], [1])
     # oracle: maximize log sigmoid(t) - t^2/2 on a line
     oracle = ternary_max(lambda t: float(np.log(sigmoid(np.array([t]))[0]) - t * t / 2), -5, 5)
     assert theta[0] == pytest.approx(oracle, abs=1e-6)
@@ -189,14 +189,14 @@ def test_single_item_ability_matches_1d_oracle():
 
 def test_zero_discrimination_leaves_prior_mode():
     model = _toy_model([[0.0, 0.0]], [0.3], d=2)
-    theta = estimate_ability({"i0": 1}, model)
+    theta = estimate_ability(model, [0], [1])
     assert theta == pytest.approx([0.0, 0.0], abs=1e-8)
 
 
 def test_all_correct_responses_stay_finite(rng):
     alpha = rng.standard_normal((6, 2))
     model = _toy_model(alpha, np.zeros(6), d=2)
-    theta = estimate_ability({f"i{j}": 1 for j in range(6)}, model)
+    theta = estimate_ability(model, range(6), np.ones(6))
     assert np.isfinite(theta).all()
     assert np.linalg.norm(theta) < 10.0  # the prior bounds the estimate
 
@@ -204,16 +204,22 @@ def test_all_correct_responses_stay_finite(rng):
 def test_estimate_ability_requires_anchors():
     model = _toy_model([[1.0]], [0.0], d=1)
     with pytest.raises(ValidationError):
-        estimate_ability({}, model)
+        estimate_ability(model, [], [])
+
+
+@pytest.mark.parametrize("rows, responses", [([0, 1], [1]), ([0], [1, 0]), ([0, 1], [1, 2])])
+def test_estimate_ability_rejects_mismatched_or_nonbinary_responses(rows, responses):
+    model = _toy_model([[1.0], [0.5]], [0.0, 0.2], d=1)
+    with pytest.raises(ValidationError):
+        estimate_ability(model, rows, responses)
 
 
 def test_ability_gradient_is_zero_at_estimate(rng):
     alpha = rng.standard_normal((8, 3))
     beta = rng.standard_normal(8)
     model = _toy_model(alpha, beta, d=3)
-    responses = {f"i{j}": int(rng.random() < 0.5) for j in range(8)}
-    theta = estimate_ability(responses, model)
-    y = np.asarray([float(responses[f"i{j}"]) for j in range(8)])
+    y = (rng.random(8) < 0.5).astype(np.float64)
+    theta = estimate_ability(model, range(8), y)
     grad = alpha.T @ (y - sigmoid(alpha @ theta - beta)) - theta
     assert np.linalg.norm(grad) <= 1e-6
 
@@ -266,7 +272,7 @@ def test_pirt_two_task_toy_matches_direct_formula():
     sub = SubsetSpec.uniform("irt_anchor", [m.items[0].item_id, m.items[3].item_id], 0)
     got = pirt_scores(m, sub, [m.model_ids[0]], model)
 
-    theta = estimate_ability({m.items[0].item_id: 1, m.items[3].item_id: 1}, model)
+    theta = estimate_ability(model, [0, 3], [1, 1])
     p = sigmoid(alpha @ theta - beta)
     task1 = (1.0 + p[1]) / 2.0  # observed anchor, predicted item
     task2 = (p[2] + 1.0) / 2.0

@@ -238,6 +238,24 @@ def test_stratified_two_phase_counts(rng):
     assert (counts - 2).sum() == 5
 
 
+def test_stratified_every_bin_meets_its_quota(rng):
+    # random pools, heavy ties on odd trials; bins = 1, bins > N, or random in between
+    for trial in range(150):
+        n_items = int(rng.integers(1, 40))
+        cuts = np.sort(rng.choice(np.arange(1, n_items), size=min(2, n_items - 1), replace=False))
+        m = make_matrix(
+            rng.integers(0, 3, (3, n_items)) / 2 if trial % 2 else rng.random((3, n_items)),
+            np.diff(np.concatenate([[0], cuts, [n_items]])),
+        )
+        n = int(rng.integers(1, n_items + 1))
+        bins = (1, n_items + int(rng.integers(1, 6)), int(rng.integers(1, n_items + 1)))[trial % 3]
+        sub = select_difficulty_stratified(m, n, bins, seed=trial)
+        assert len(set(sub.item_ids)) == n
+        chosen = {m.item_position(i) for i in sub.item_ids}
+        for grp in difficulty_rank_bins(m, bins):
+            assert len(chosen.intersection(grp.tolist())) >= n // bins
+
+
 def test_stratified_hardest_item_lands_in_top_bin():
     values = np.vstack([np.linspace(0.1, 0.9, 20), np.linspace(0.2, 1.0, 20)])
     values[:, 7] = 0.0  # every model fails item 7 -> difficulty 1
@@ -251,7 +269,7 @@ def test_stratified_quota_spills_to_neighbour_bins(rng):
     m = random_matrix(rng, 3, [6])
     sub = select_difficulty_stratified(m, 6, 3, seed=0)
     assert sorted(sub.item_ids) == sorted(it.item_id for it in m.items)
-    # more bins than items: every bin beyond the pool is empty and must spill
+    # more bins than items: the quota is 0, so phase 2 alone draws all five
     sub = select_difficulty_stratified(m, 5, 10, seed=1)
     assert len(set(sub.item_ids)) == 5
 
