@@ -234,16 +234,14 @@ def cmd_regress(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = SynthConfig(
         models=args.models, tasks=args.tasks, items_per_task=args.items_per_task,
-        latent_dim=args.latent_dim, ability_spread=args.ability_spread,
-        noise=args.noise, seed=args.seed,
+        ability_spread=args.ability_spread, noise=args.noise, seed=args.seed,
     )
     matrix = gen_benchmark(config)
     out = Path(args.out)
-    paths = write_benchmark_files(matrix, out, embedding_dim=args.embedding_dim,
-                                  config=config)
+    write_benchmark_files(matrix, out, config, embedding_dim=args.embedding_dim)
     if args.rated_models > 0:
         dims = [d.strip() for d in args.dimensions.split(",") if d.strip()]
-        paths["ratings"] = write_ratings_file(
+        write_ratings_file(
             matrix, out / "ratings.csv", args.rated_models, dims,
             noise=args.rating_noise, seed=args.seed,
         )
@@ -364,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=int, default=18)
     p.add_argument("--tasks", type=int, default=8)
     p.add_argument("--items-per-task", type=int, default=25, dest="items_per_task")
-    p.add_argument("--latent-dim", type=int, default=5, dest="latent_dim")
     p.add_argument("--ability-spread", type=float, default=1.0, dest="ability_spread")
     p.add_argument("--noise", type=float, default=0.5)
     p.add_argument("--embedding-dim", type=int, default=0, dest="embedding_dim",

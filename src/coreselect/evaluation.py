@@ -55,17 +55,9 @@ def pearson_flagged(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values sharing their average rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    # a tie group spanning sorted positions i..j (0-based) ranks 0.5 * (i + j) + 1
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def spearman_flagged(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:

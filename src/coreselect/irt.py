@@ -152,16 +152,12 @@ def log_posterior_gradients(
 
 
 def fit_m2pl(
-    responses: BinarizedResponses,
-    d: int = 5,
-    epochs: int = 500,
-    lr: float = 0.1,
-    seed: int = 0,
+    responses: BinarizedResponses, d: int, epochs: int, lr: float, seed: int
 ) -> IrtModel:
     """MAP fit of the M2PL model by full-batch Adam gradient ascent.
 
-    Runs a fixed number of epochs (default 500 at lr 0.1) from seeded
-    normals scaled by 0.1.
+    Runs a fixed number of epochs at learning rate lr from seeded normals
+    scaled by 0.1. The selectors take d, epochs and lr from SelectorConfig.
     """
     y = responses.values
     k, n = y.shape

@@ -68,6 +68,10 @@ class NormalizationRule:
     def __post_init__(self) -> None:
         if self.kind not in NORMALIZATION_KINDS:
             raise ValidationError(f"unknown normalization kind {self.kind!r}")
+        for name in ("cap", "lo", "hi"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValidationError(f"{self.kind} param {name!r} must be finite, got {value!r}")
         if self.kind == "one_minus_capped_error":
             if self.cap is None or not self.cap > 0:
                 raise ValidationError("one_minus_capped_error requires cap > 0")
@@ -374,6 +378,8 @@ def load_pool(
 
     scores_path = Path(raw_scores)
     rows = _read_csv_rows(scores_path, ["model_id", "item_id", "raw_value"])
+    if not rows:
+        raise ValidationError(f"{scores_path}: no scores")
     item_pos = {it.item_id: i for i, it in enumerate(items)}
     model_ids = sorted({row[0] for row in rows})
     model_pos = {m: i for i, m in enumerate(model_ids)}
@@ -412,6 +418,8 @@ def load_ratings(path: str | Path) -> HumanRatingsTable:
     """Load ``model_id,dimension,mean_rating`` ratings, rescaling 1-6 to [0,1]."""
     path = Path(path)
     rows = _read_csv_rows(path, ["model_id", "dimension", "mean_rating"])
+    if not rows:
+        raise ValidationError(f"{path}: no ratings")
     model_ids: list[str] = []
     dimensions: list[str] = []
     cells: dict[tuple[str, str], float] = {}

@@ -4,6 +4,7 @@ leave-one-model-out and exhaustive 5-2 pairwise preference protocols."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -14,8 +15,6 @@ from .pool import HumanRatingsTable
 
 # lambda grid for preference protocols: nine powers of ten, 1e-4 .. 1e4
 PREFERENCE_LAMBDA_GRID = tuple(10.0 ** e for e in range(-4, 5))
-
-_SINGULAR_COND = 1e12
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,10 @@ class RidgeModel:
             raise ValidationError("ridge weights must be 1-D")
         if self.item_ids is not None and len(self.item_ids) != w.size:
             raise ValidationError("ridge weights misaligned with feature item ids")
+        if not (math.isfinite(self.intercept) and np.isfinite(w).all()):
+            raise ValidationError("ridge weights and intercept must be finite")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValidationError(f"ridge lambda must be finite and > 0, got {self.lam}")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -71,8 +74,7 @@ def ridge_fit(
     """Minimize sum (y - Xw - b)^2 + lam * |w|^2 with the intercept free.
 
     Solved exactly on centered data, so X'(y - Xw - b) = lam * w and the
-    residuals sum to zero. lam = 0 is allowed only when the normal equations
-    are well-conditioned.
+    residuals sum to zero. lam must be finite and > 0, as in ridge_cv's grid.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -80,18 +82,14 @@ def ridge_fit(
         raise ValidationError("ridge_fit expects X (m x n) and y (m)")
     if x.shape[0] < 1:
         raise ValidationError("ridge_fit needs at least one row")
-    if lam < 0:
-        raise ValidationError("negative ridge penalty")
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValidationError(f"ridge penalty must be finite and > 0, got {lam}")
 
     x_mean = x.mean(axis=0)
     y_mean = float(y.mean())
     xc = x - x_mean
     yc = y - y_mean
     gram = xc.T @ xc + lam * np.eye(x.shape[1])
-    if lam == 0.0:
-        cond = np.linalg.cond(gram) if gram.size else np.inf
-        if not np.isfinite(cond) or cond > _SINGULAR_COND:
-            raise ValidationError("singular normal equations at lambda = 0")
     w = np.linalg.solve(gram, xc.T @ yc)
     b = y_mean - float(x_mean @ w)
     return RidgeModel(w, b, float(lam), tuple(item_ids) if item_ids else None)
@@ -195,7 +193,6 @@ class ProtocolReport:
 
     protocol: str
     dimension: str
-    grid: tuple[float, ...]
     folds: list[FoldOutcome] = field(default_factory=list)
     mean_pearson: float | None = None
     heldout_pearson: float | None = None
@@ -205,7 +202,7 @@ class ProtocolReport:
         out = {
             "protocol": self.protocol,
             "dimension": self.dimension,
-            "lambda_grid": list(self.grid),
+            "lambda_grid": list(PREFERENCE_LAMBDA_GRID),
             "folds": [f.to_json_dict() for f in self.folds],
         }
         if self.protocol == "lomo":
@@ -231,13 +228,13 @@ def preference_lomo(
     subset_scores: np.ndarray,
     ratings: HumanRatingsTable,
     dimension: str,
-    grid: Sequence[float] = PREFERENCE_LAMBDA_GRID,
 ) -> ProtocolReport:
     """Leave-one-model-out preference prediction.
 
-    For each held-out model: select lambda by nested leave-one-out CV on the
-    remaining models, refit on them, predict all models, and correlate the
-    predictions with the ratings over all models. The aggregate is the mean
+    For each held-out model: select lambda from PREFERENCE_LAMBDA_GRID by
+    nested leave-one-out CV on the remaining models, refit on them, predict
+    all models, and correlate the predictions with the ratings over all
+    models. The aggregate is the mean
     fold Pearson; heldout_pearson additionally correlates only the held-out
     predictions collected across folds.
     """
@@ -247,11 +244,11 @@ def preference_lomo(
     k = x.shape[0]
     if k < 3:
         raise ValidationError("LOMO needs at least 3 rated models")
-    report = ProtocolReport("lomo", dimension, tuple(grid))
+    report = ProtocolReport("lomo", dimension)
     heldout_preds = np.empty(k)
     for t in range(k):
         train = np.arange(k) != t
-        model = ridge_cv(x[train], y[train], grid, folds=k - 1)
+        model = ridge_cv(x[train], y[train], PREFERENCE_LAMBDA_GRID, folds=k - 1)
         preds = model.predict(x)
         heldout_preds[t] = preds[t]
         r, degenerate = pearson_flagged(preds, y)
@@ -274,24 +271,23 @@ def pairwise_52(
     subset_scores: np.ndarray,
     ratings: HumanRatingsTable,
     dimension: str,
-    grid: Sequence[float] = PREFERENCE_LAMBDA_GRID,
 ) -> ProtocolReport:
     """Exhaustive train-on-(K-2)/test-on-2 pairwise ranking accuracy.
 
-    Every C(K,2) held-out pair is enumerated; lambda is selected by nested
-    leave-one-out CV on the training models. Tied predictions (or tied
-    ratings) count as incorrect.
+    Every C(K,2) held-out pair is enumerated; lambda is selected from
+    PREFERENCE_LAMBDA_GRID by nested leave-one-out CV on the training
+    models. Tied predictions (or tied ratings) count as incorrect.
     """
     x, y = _align_ratings(subset_scores, ratings, dimension)
     k = x.shape[0]
     if k < 4:
         raise ValidationError("the 5-2 protocol needs at least 4 rated models")
-    report = ProtocolReport("pairwise52", dimension, tuple(grid))
+    report = ProtocolReport("pairwise52", dimension)
     correct = 0
     for i, j in itertools.combinations(range(k), 2):
         train = np.ones(k, dtype=bool)
         train[[i, j]] = False
-        model = ridge_cv(x[train], y[train], grid, folds=k - 2)
+        model = ridge_cv(x[train], y[train], PREFERENCE_LAMBDA_GRID, folds=k - 2)
         pred_i, pred_j = model.predict(x[[i, j]])
         ok = bool(
             pred_i != pred_j and y[i] != y[j] and ((pred_i > pred_j) == (y[i] > y[j]))

@@ -346,30 +346,23 @@ def _subset_features(matrix: ScoreMatrix, item_ids: Sequence[str]) -> np.ndarray
     return matrix.values[:, positions]
 
 
-def select_learn(
-    matrix: ScoreMatrix,
-    n: int,
-    mode: str,
-    seed: int,
-    lambda_grid: Sequence[float] = LEARN_LAMBDA_GRID,
-    n_search: int = 1000,
-    holdout_fraction: float = 0.25,
-) -> LearnSelection:
-    """Random-Sampling-Learn / Random-Search-Learn.
+def select_learn(matrix: ScoreMatrix, config: SelectorConfig) -> LearnSelection:
+    """Random-Sampling-Learn / Random-Search-Learn, by config.method.
 
-    sampling: one task-balanced draw, then a Ridge fit from subset score
-    vectors to full-pool reference scores (lambda by 5-fold CV).
+    random_sampling_learn: one task-balanced draw, then a Ridge fit from
+    subset score vectors to full-pool reference scores (lambda by 5-fold CV).
 
-    search: n_search task-balanced candidate draws scored by validation MAE
-    on a fixed 25% split of the source models; the best candidate is refit on
-    all source models. With n_search=1 this reduces to sampling mode.
+    random_search_learn: config.n_search task-balanced candidate draws scored
+    by validation MAE on a fixed config.holdout_fraction split of the source
+    models; the best candidate is refit on all source models. With
+    n_search=1 this reduces to sampling.
     """
-    if mode not in ("sampling", "search"):
-        raise ValidationError(f"unknown learn mode {mode!r}")
+    method, n, seed, lambda_grid = config.method, config.n, config.seed, config.lambda_grid
+    if method not in ("random_sampling_learn", "random_search_learn"):
+        raise ValidationError(f"{method} is not a learn method")
     _require_models(matrix, 4, "learn-method selection")
     k = matrix.n_models
     ref = reference_scores(matrix)
-    method = "random_sampling_learn" if mode == "sampling" else "random_search_learn"
     cv_folds = min(5, k)
     b = balance_weights(matrix)
     p = b / b.sum()  # draw probabilities, shared by every candidate
@@ -382,22 +375,22 @@ def select_learn(
         x = _subset_features(matrix, item_ids)
         return ridge_cv(x, ref, lambda_grid, folds=cv_folds, item_ids=item_ids)
 
-    if mode == "sampling":
+    if method == "random_sampling_learn":
         ids = candidate(0)
         return LearnSelection(SubsetSpec.uniform(method, ids, seed), final_fit(ids))
 
     split_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     perm = split_rng.permutation(k)
-    n_val = max(1, int(round(k * holdout_fraction)))
+    n_val = max(1, int(round(k * config.holdout_fraction)))
     val_rows, train_rows = perm[:n_val], perm[n_val:]
     if len(train_rows) < 2:
-        raise ValidationError("not enough source models for the 75/25 split")
+        raise ValidationError("not enough source models for the search split")
     train_folds = min(5, len(train_rows))
 
     best_ids: list[str] | None = None
     best_mae = np.inf
     maes: list[float] = []
-    for i in range(n_search):
+    for i in range(config.n_search):
         ids = candidate(i)
         x = _subset_features(matrix, ids)
         model = ridge_cv(x[train_rows], ref[train_rows], lambda_grid, folds=train_folds)
@@ -429,16 +422,8 @@ def _select_difficulty_stratified(matrix, config, prepared):
     return select_difficulty_stratified(matrix, config.n, config.bins, config.seed), None, None
 
 
-def _select_learned(mode, matrix, config, prepared):
-    sel = select_learn(
-        matrix,
-        config.n,
-        mode,
-        config.seed,
-        lambda_grid=config.lambda_grid,
-        n_search=config.n_search,
-        holdout_fraction=config.holdout_fraction,
-    )
+def _select_learned(matrix, config, prepared):
+    sel = select_learn(matrix, config)
     return sel.subset, sel.model, None
 
 
@@ -498,12 +483,8 @@ def _score_apw(matrix, heldout_rows, selection) -> np.ndarray:
 
 METHODS: dict[str, tuple[Callable, Callable, Callable]] = {
     "random_balanced": (_prepare_nothing, _select_random_balanced, _score_balanced),
-    "random_sampling_learn": (
-        _prepare_nothing, partial(_select_learned, "sampling"), _score_regressor
-    ),
-    "random_search_learn": (
-        _prepare_nothing, partial(_select_learned, "search"), _score_regressor
-    ),
+    "random_sampling_learn": (_prepare_nothing, _select_learned, _score_regressor),
+    "random_search_learn": (_prepare_nothing, _select_learned, _score_regressor),
     "variance_top": (_prepare_nothing, _select_variance_top, _score_balanced),
     "difficulty_stratified": (_prepare_nothing, _select_difficulty_stratified, _score_balanced),
     "irt_anchor": (_prepare_irt_anchor, _select_anchors, _score_pirt),

@@ -149,10 +149,12 @@ def gen_ratings_likert(
 def write_benchmark_files(
     matrix: ScoreMatrix,
     out_dir: str | Path,
+    config: SynthConfig,
     embedding_dim: int = 0,
-    config: SynthConfig | None = None,
 ) -> dict[str, Path]:
-    """Emit the generated pool in the exact formats the ingest path reads."""
+    """Emit the generated pool in the exact formats the ingest path reads,
+    plus, with embedding_dim > 0, semantic and acoustic embeddings drawn
+    from config's seed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -187,8 +189,6 @@ def write_benchmark_files(
     paths["norm_config"] = norm_path
 
     if embedding_dim > 0:
-        if config is None:
-            raise ValidationError("embedding output needs the synth config")
         for kind, kind_seed in (("semantic", 101), ("acoustic", 202)):
             vectors = gen_embeddings(config, embedding_dim, kind_seed)
             path = out_dir / f"{kind}.csv"

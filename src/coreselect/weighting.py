@@ -65,6 +65,8 @@ class SubsetSpec:
         if len(set(ids)) != len(ids):
             raise ValidationError("subset item ids are not distinct")
         weights = np.asarray([e[1] for e in self.entries], dtype=np.float64)
+        if not np.isfinite(weights).all():
+            raise ValidationError("non-finite subset weight")
         if weights.size and weights.min() < 0.0:
             raise ValidationError("negative subset weight")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:

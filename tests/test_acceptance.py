@@ -145,7 +145,7 @@ def test_criterion_04_pirt_full_pool_exactness():
         sizes = [int(rng.integers(2, 8)) for _ in range(t)]
         m = random_matrix(rng, int(rng.integers(3, 7)), sizes)
         responses = binarize(m)
-        fitted = fit_m2pl(responses, d=2, epochs=40, seed=trial)
+        fitted = fit_m2pl(responses, d=2, epochs=40, lr=0.1, seed=trial)
         full = SubsetSpec.uniform("irt_anchor", [it.item_id for it in m.items], 0)
         got = pirt_scores(m, full, list(m.model_ids), fitted)
         expected = np.asarray([
@@ -196,7 +196,7 @@ def test_criterion_06_protocol_structure():
 
     lomo = preference_lomo(x, table, "overall")
     assert len(lomo.folds) == 7
-    assert lomo.grid == tuple(10.0 ** e for e in range(-4, 5))
+    assert lomo.to_json_dict()["lambda_grid"] == [10.0 ** e for e in range(-4, 5)]
 
     pairs = pairwise_52(x, table, "overall")
     assert len(pairs.folds) == math.comb(7, 2) == 21

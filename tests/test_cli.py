@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -355,7 +357,10 @@ def test_full_pipeline_rerun_is_byte_identical(tmp_path):
     "identity",
     {"kind": "affine_unit", "params": {"lo": "a", "hi": 1}},
     {"kind": "affine_unit", "params": {"lo": 0}},
-], ids=["cap_missing", "bare_string", "lo_not_numeric", "hi_missing"])
+    {"kind": "affine_unit", "params": {"lo": float("-inf"), "hi": 1}},
+    {"kind": "one_minus_capped_error", "params": {"cap": float("inf")}},
+], ids=["cap_missing", "bare_string", "lo_not_numeric", "hi_missing", "lo_infinite",
+        "cap_infinite"])
 def test_ingest_malformed_norm_config_entry_exits_1(tmp_path, capsys, entry):
     data = make_pool_files(tmp_path)
     (data / "norm_config.json").write_text(json.dumps({"native": entry}))
@@ -376,9 +381,24 @@ def _drop_items(path):
     return path
 
 
+def _nan_weight(path):
+    data = json.loads(path.read_text())
+    data["items"][0]["weight"] = float("nan")  # json writes the bare token NaN
+    path.write_text(json.dumps(data))
+    return path
+
+
+# regression-model fields that export must reject (json writes inf as Infinity)
+_BAD_RIDGE = {
+    "regression_infinite_intercept": {"intercept": float("inf")},
+    "regression_zero_lambda": {"lambda": 0.0},
+}
+
+
 @pytest.mark.parametrize("case", [
     "regress_subset_without_items", "export_subset_without_items",
-    "pool_without_items", "regression_not_json", "no_methods",
+    "pool_without_items", "regression_not_json", "no_methods", "subset_nan_weight",
+    *_BAD_RIDGE,
 ])
 def test_malformed_json_inputs_exit_1(tmp_path, capsys, case):
     data = make_pool_files(tmp_path, rated_models=7)
@@ -399,6 +419,17 @@ def test_malformed_json_inputs_exit_1(tmp_path, capsys, case):
                 "--n", 10, "--seed", 2]
     elif case == "regression_not_json":
         (tmp_path / "ridge.json").write_text("not json\n")
+        argv = ["export", "--subset", subset, "--regression",
+                f"overall={tmp_path / 'ridge.json'}"]
+    elif case == "subset_nan_weight":
+        argv = ["export", "--subset", _nan_weight(subset)]
+    elif case in _BAD_RIDGE:
+        items = json.loads(subset.read_text())["items"]
+        (tmp_path / "ridge.json").write_text(json.dumps({
+            "lambda": 1.0, "intercept": 0.0,
+            "items": [{"item_id": d["item_id"], "weight": 0.0} for d in items],
+            **_BAD_RIDGE[case],
+        }))
         argv = ["export", "--subset", subset, "--regression",
                 f"overall={tmp_path / 'ridge.json'}"]
     else:
@@ -488,19 +519,48 @@ def _append_row(text, row):
     ("items", lambda t: t.splitlines()[0] + "\n", "no items"),
     ("scores", lambda t: _edit_row(t, 1, lambda c: [c[0], "nope", c[2]]), "unknown item id"),
     ("scores", lambda t: _edit_row(t, 1, lambda c: [*c[:2], "x"]), "bad raw_value"),
+    ("scores", lambda t: t.splitlines()[0] + "\n", "no scores"),
     ("ratings", lambda t: t + t.splitlines()[1] + "\n", "duplicate rating"),
     ("ratings", lambda t: _edit_row(t, 1, lambda c: [*c[:2], "x"]), "bad mean_rating"),
+    ("ratings", lambda t: t.splitlines()[0] + "\n", "no ratings"),
     ("norm-config", lambda t: "{", "invalid JSON"),
     ("norm-config", lambda t: "[]", "expected a JSON object"),
 ], ids=[
     "embedding_empty", "embedding_header", "embedding_fields", "embedding_duplicate",
     "embedding_non_numeric", "embedding_unknown_item", "items_empty", "items_header",
     "items_fields", "items_bad_flag", "items_duplicate", "items_none", "scores_unknown_item",
-    "scores_bad_value", "ratings_duplicate", "ratings_bad_value", "norm_invalid_json",
-    "norm_not_object",
+    "scores_bad_value", "scores_none", "ratings_duplicate", "ratings_bad_value",
+    "ratings_none", "norm_invalid_json", "norm_not_object",
 ])
 def test_malformed_input_file_exits_1(tmp_path, capsys, valid_inputs, flag, corrupt, fragment):
     path = tmp_path / _FILE_INPUTS[flag]
     path.write_text(corrupt((valid_inputs[0] / _FILE_INPUTS[flag]).read_text()))
     argv = _command_reading(flag, path, valid_inputs)
     _assert_rejects_file(argv, path, tmp_path / "out", capsys, fragment)
+
+
+def _quickstart_commands():
+    """Each command of the fenced block under README's "## Quickstart", as argv."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Quickstart", 1)[1]
+    block = section.split("```", 2)[1]
+    return [shlex.split(cmd) for cmd in block.replace("\\\n", " ").split("\n\n") if cmd.strip()]
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    # the one edit: --repeats 100 is lowered to 2 so the suite stays fast
+    commands = _quickstart_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["coreselect", cmd] for cmd in ("synth", "ingest", "select", "evaluate", "regress",
+                                        "export")
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = argv[1:]
+        if "--repeats" in argv:
+            argv[argv.index("--repeats") + 1] = "2"
+        assert main(argv) == 0, capsys.readouterr().err
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert (out / "manifest.json").is_file()
+    assert (tmp_path / "eval" / "report.json").is_file()
+    assert (tmp_path / "release" / "release.json").is_file()

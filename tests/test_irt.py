@@ -69,7 +69,7 @@ def test_all_ones_column_drives_beta_negative(rng):
     values = (rng.random((10, 8)) < 0.5).astype(float)
     values[:, 3] = 1.0  # every model solves item 3
     m = make_matrix(values, [8])
-    fit = fit_m2pl(binarize(m), d=2, epochs=300, seed=0)
+    fit = fit_m2pl(binarize(m), d=2, epochs=300, lr=0.1, seed=0)
     assert fit.beta[3] < 0.0
     assert fit.beta[3] == fit.beta.min()
 
@@ -130,8 +130,8 @@ def test_fit_recovers_difficulty_ordering():
 def test_fit_deterministic(rng):
     values = (rng.random((6, 10)) < 0.5).astype(float)
     m = make_matrix(values, [10])
-    a = fit_m2pl(binarize(m), d=2, epochs=50, seed=9)
-    b = fit_m2pl(binarize(m), d=2, epochs=50, seed=9)
+    a = fit_m2pl(binarize(m), d=2, epochs=50, lr=0.1, seed=9)
+    b = fit_m2pl(binarize(m), d=2, epochs=50, lr=0.1, seed=9)
     assert np.array_equal(a.alpha, b.alpha)
     assert np.array_equal(a.theta, b.theta)
 
@@ -141,14 +141,14 @@ def test_fit_deterministic(rng):
 def test_item_embeddings_shapes_and_copy(rng):
     values = (rng.random((5, 6)) < 0.5).astype(float)
     m = make_matrix(values, [6])
-    fit = fit_m2pl(binarize(m), d=5, epochs=20, seed=1)
+    fit = fit_m2pl(binarize(m), d=5, epochs=20, lr=0.1, seed=1)
     emb = item_embeddings(fit)
     assert emb.dim == 6  # d=5 -> 6-dim item embeddings
     assert emb.kind == "irt"
     row = 2
     assert emb.vectors[row, :5] == pytest.approx(fit.alpha[row])
     assert emb.vectors[row, 5] == pytest.approx(fit.beta[row])
-    one_d = fit_m2pl(binarize(m), d=1, epochs=20, seed=1)
+    one_d = fit_m2pl(binarize(m), d=1, epochs=20, lr=0.1, seed=1)
     assert item_embeddings(one_d).dim == 2
 
 
@@ -230,7 +230,7 @@ def test_pirt_full_pool_equals_binarized_reference(rng):
     for trial in range(5):
         m = random_matrix(rng, 5, [4, 6, 3])
         resp = binarize(m)
-        fit = fit_m2pl(resp, d=2, epochs=40, seed=trial)
+        fit = fit_m2pl(resp, d=2, epochs=40, lr=0.1, seed=trial)
         full = SubsetSpec.uniform("irt_anchor", [it.item_id for it in m.items], 0)
         got = pirt_scores(m, full, list(m.model_ids), fit)
         expected = [
@@ -282,7 +282,7 @@ def test_pirt_two_task_toy_matches_direct_formula():
 def test_pirt_in_unit_interval(rng):
     m = random_matrix(rng, 4, [5, 5])
     resp = binarize(m)
-    fit = fit_m2pl(resp, d=2, epochs=60, seed=0)
+    fit = fit_m2pl(resp, d=2, epochs=60, lr=0.1, seed=0)
     sub = SubsetSpec.uniform("irt_anchor", [it.item_id for it in m.items[:3]], 0)
     got = pirt_scores(m, sub, list(m.model_ids), fit)
     assert np.all(got >= 0.0) and np.all(got <= 1.0)
@@ -300,7 +300,7 @@ def test_predicted_probability_monotone_in_logit_and_difficulty(rng):
 def test_irt_model_json_round_trip(rng):
     values = (rng.random((3, 4)) < 0.5).astype(float)
     m = make_matrix(values, [4])
-    fit = fit_m2pl(binarize(m), d=2, epochs=10, seed=2)
+    fit = fit_m2pl(binarize(m), d=2, epochs=10, lr=0.1, seed=2)
     again = IrtModel.from_json_dict(json.loads(_canonical_json(fit.to_json_dict())))
     assert np.allclose(again.alpha, fit.alpha)
     assert np.allclose(again.theta, fit.theta)

@@ -80,10 +80,11 @@ def test_ridge_matches_oracle_on_random_systems(rng):
         assert model.intercept == pytest.approx(b, abs=1e-8)
 
 
-def test_ridge_zero_lambda_singular_raises():
+def test_ridge_nonpositive_or_nonfinite_lambda_rejected():
     x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # collinear columns
-    with pytest.raises(ValidationError, match="singular"):
-        ridge_fit(x, np.array([1.0, 2.0, 3.0]), 0.0)
+    for lam in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            ridge_fit(x, np.array([1.0, 2.0, 3.0]), lam)
 
 
 def test_ridge_predictions_invariant_to_row_permutation(rng):
@@ -236,8 +237,7 @@ def test_lomo_fold_count_and_grid(rng):
     table = _ratings(rng.random(7))
     report = preference_lomo(x, table, "overall")
     assert len(report.folds) == 7
-    assert report.grid == tuple(10.0 ** e for e in range(-4, 5))
-    assert len(report.grid) == 9
+    assert report.to_json_dict()["lambda_grid"] == [10.0 ** e for e in range(-4, 5)]
 
 
 def test_lomo_linear_ratings_recovered(rng):

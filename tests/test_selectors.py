@@ -331,7 +331,8 @@ def test_learn_exact_linear_relation_recovered(rng):
     # rebuild the pool so every other column is constant: ref = mean of cols
     values = np.tile(driver[:, None], (1, 10))
     m = make_matrix(values, [10])
-    sel = select_learn(m, 4, "sampling", seed=2, lambda_grid=(0.001,))
+    sel = select_learn(m, SelectorConfig("random_sampling_learn", n=4, seed=2,
+                                         lambda_grid=(0.001,)))
     ref = reference_scores(m)
     positions = [m.item_position(i) for i in sel.subset.item_ids]
     preds = sel.model.predict(m.values[:, positions])
@@ -345,7 +346,7 @@ def test_learn_search_keeps_argmin_candidate(rng):
     from coreselect.selectors import _draw_balanced
 
     m = random_matrix(rng, 8, [6, 6])
-    sel = select_learn(m, 5, "search", seed=7, n_search=12)
+    sel = select_learn(m, SelectorConfig("random_search_learn", n=5, seed=7, n_search=12))
     assert len(sel.candidate_mae) == 12
     # the kept subset is the argmin candidate: re-derive that candidate's draw
     kept_rank = sel.candidate_mae.index(min(sel.candidate_mae))
@@ -357,8 +358,8 @@ def test_learn_search_keeps_argmin_candidate(rng):
 
 def test_learn_single_candidate_reduces_to_sampling(rng):
     m = random_matrix(rng, 9, [5, 5])
-    search = select_learn(m, 6, "search", seed=11, n_search=1)
-    sampling = select_learn(m, 6, "sampling", seed=11)
+    search = select_learn(m, SelectorConfig("random_search_learn", n=6, seed=11, n_search=1))
+    sampling = select_learn(m, SelectorConfig("random_sampling_learn", n=6, seed=11))
     assert search.subset.item_ids == sampling.subset.item_ids
     assert search.model.lam == sampling.model.lam
     assert search.model.weights == pytest.approx(sampling.model.weights)
@@ -367,13 +368,18 @@ def test_learn_single_candidate_reduces_to_sampling(rng):
 def test_learn_requires_enough_models(rng):
     m = random_matrix(rng, 3, [8])
     with pytest.raises(ValidationError):
-        select_learn(m, 4, "search", seed=0)
+        select_learn(m, SelectorConfig("random_search_learn", n=4, seed=0))
 
 
-def test_learn_empty_grid_rejected(rng):
+def test_learn_empty_grid_rejected():
+    with pytest.raises(ValidationError, match="empty lambda grid"):
+        SelectorConfig("random_sampling_learn", n=4, seed=0, lambda_grid=())
+
+
+def test_learn_rejects_other_methods(rng):
     m = random_matrix(rng, 6, [8])
-    with pytest.raises(ValidationError):
-        select_learn(m, 4, "sampling", seed=0, lambda_grid=())
+    with pytest.raises(ValidationError, match="not a learn method"):
+        select_learn(m, SelectorConfig("random_balanced", n=4, seed=0))
 
 
 # ----------------------------------------------------------- dispatcher

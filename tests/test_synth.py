@@ -91,7 +91,7 @@ def test_benchmark_generation_speed():
 def test_written_files_round_trip(tmp_path):
     cfg = SynthConfig(models=4, tasks=3, items_per_task=5, seed=12)
     m = gen_benchmark(cfg)
-    paths = write_benchmark_files(m, tmp_path, embedding_dim=6, config=cfg)
+    paths = write_benchmark_files(m, tmp_path, cfg, embedding_dim=6)
     again = load_pool(paths["items"], paths["scores"], paths["norm_config"])
     assert again.model_ids == m.model_ids
     assert tuple(it.item_id for it in again.items) == tuple(it.item_id for it in m.items)
