@@ -1,0 +1,88 @@
+"""Digest every output of one fixed run of the CLI pipeline.
+
+Runs synth -> ingest -> select -> evaluate -> regress -> export through
+``coreselect.cli.main`` in a temporary directory and prints ``sha256  relpath``
+for every file written there, sorted by path. Two source trees that print the
+same lines produce byte-identical outputs on this run:
+
+    python scripts/pipeline_digest.py > change.txt
+    python scripts/pipeline_digest.py /path/to/other/checkout > parent.txt
+    diff parent.txt change.txt
+
+The optional argument is the root of the checkout whose ``src/`` is imported
+(default: the checkout holding this script).
+
+The run: a synth pool of 18 models x 8 tasks x 25 items with 24-wide
+semantic and acoustic embeddings and ratings for 7 models; ingest; select of
+every method at n=20; evaluate of every method at sizes 10,20,50,200 (3 folds
+x 2 repeats, 20 search draws), once with --jobs 1 and once with --jobs 2;
+regress with lomo and pairwise52 on every rated dimension for every subset;
+export of every subset with its lomo regressors.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+DIMENSIONS = ("overall", "understanding", "naturalness", "quality", "effectiveness")
+SEED = 7
+
+
+def _run(cli_main, *argv) -> None:
+    argv = [str(a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    if code != 0:
+        sys.exit(f"pipeline_digest: exit {code} from {' '.join(argv)}\n{err.getvalue()}")
+
+
+def run_pipeline(cli_main, methods, root: Path) -> None:
+    data, bundle = root / "data", root / "bundle"
+    _run(cli_main, "synth", "--models", 18, "--tasks", 8, "--items-per-task", 25,
+         "--embedding-dim", 24, "--rated-models", 7, "--seed", SEED, "--out", data)
+    _run(cli_main, "ingest", "--items", data / "items.csv", "--scores", data / "scores.csv",
+         "--norm-config", data / "norm_config.json", "--out", bundle)
+    embeddings = ("--semantic", data / "semantic.csv", "--acoustic", data / "acoustic.csv")
+    for method in methods:
+        _run(cli_main, "select", "--bundle", bundle, "--method", method, "--n", 20,
+             "--seed", SEED, "--n-search", 20, *embeddings, "--out", root / "select" / method)
+    for jobs in (1, 2):
+        _run(cli_main, "evaluate", "--bundle", bundle, "--methods", ",".join(methods),
+             "--sizes", "10,20,50,200", "--folds", 3, "--repeats", 2, "--n-search", 20,
+             "--seed", SEED, "--jobs", jobs, *embeddings, "--out", root / f"evaluate_jobs{jobs}")
+    for method in methods:
+        subset = root / "select" / method / "subset.json"
+        regressors = []
+        for protocol in ("lomo", "pairwise52"):
+            for dim in DIMENSIONS:
+                out = root / "regress" / method / protocol / dim
+                _run(cli_main, "regress", "--bundle", bundle, "--subset", subset,
+                     "--ratings", data / "ratings.csv", "--protocol", protocol,
+                     "--dimension", dim, "--out", out)
+                if protocol == "lomo":
+                    regressors += ["--regression", f"{dim}={out / f'ridge_{dim}.json'}"]
+        _run(cli_main, "export", "--subset", subset, *regressors,
+             "--out", root / "export" / method)
+
+
+def main() -> None:
+    checkout = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(checkout.resolve() / "src"))
+    from coreselect.cli import main as cli_main
+    from coreselect.selectors import METHODS
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        run_pipeline(cli_main, METHODS, root)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root).as_posix()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,14 +8,13 @@ the irt module, and the combined concatenation
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .pool import ScoreMatrix
+from .pool import ScoreMatrix, _read_csv_rows
 
 EMBEDDING_KINDS = ("performance", "semantic", "acoustic", "irt", "combined")
 
@@ -139,37 +138,18 @@ def assemble_combined(
 def load_embedding_csv(path: str | Path, matrix: ScoreMatrix, kind: str) -> EmbeddingSet:
     """Read ``item_id,v0,v1,...`` rows and align them to the pool item order."""
     path = Path(path)
+    rows: dict[str, np.ndarray] = {}
+    for item_id, *values in _read_csv_rows(path, ["item_id", "..."]):
+        if item_id in rows:
+            raise ValidationError(f"{path}: duplicate embedding for {item_id!r}")
+        try:
+            rows[item_id] = np.asarray([float(c) for c in values])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: non-numeric value for {item_id!r} ({exc})") from None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{path}: empty file") from None
-            if len(header) < 2 or header[0].strip() != "item_id":
-                raise ValidationError(f"{path}: expected header item_id,v0,v1,...")
-            width = len(header) - 1
-            rows: dict[str, np.ndarray] = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != width + 1:
-                    raise ValidationError(f"{path}:{lineno}: expected {width + 1} fields")
-                item_id = row[0].strip()
-                if item_id in rows:
-                    raise ValidationError(f"{path}: duplicate embedding for {item_id!r}")
-                try:
-                    rows[item_id] = np.asarray([float(c) for c in row[1:]])
-                except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: non-numeric value") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-    vectors = np.empty((matrix.n_items, width))
-    for pos, item_id in enumerate(matrix.item_ids):
-        if item_id not in rows:
-            raise ValidationError(f"{path}: missing embedding for item {item_id!r}")
-        vectors[pos] = rows.pop(item_id)
+        vectors = np.asarray([rows.pop(item_id) for item_id in matrix.item_ids])
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing embedding for item {exc.args[0]!r}") from None
     if rows:
         raise ValidationError(f"{path}: embeddings for unknown items {sorted(rows)[:5]}")
     return EmbeddingSet(kind, matrix.item_ids, vectors)

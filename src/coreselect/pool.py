@@ -7,8 +7,15 @@ File formats accepted here (and emitted by the synth module):
 * raw scores: long-form CSV ``model_id,item_id,raw_value``, exactly one row
   per (model, item) cell.
 * norm config: JSON map ``metric -> {"kind": ..., "params": {...}}``.
-* human ratings: CSV ``model_id,dimension,mean_rating`` with ratings on the
-  original 1-6 scale; they are rescaled to [0,1] at load time.
+* human ratings: long-form CSV ``model_id,dimension,mean_rating``, one row per
+  (model, dimension) cell, on the 1-6 scale; rescaled to [0,1] at load time.
+* item embeddings: CSV ``item_id,v0,v1,...``, one row per pool item (read by
+  ``embeddings.load_embedding_csv``).
+
+Every CSV input is read as UTF-8 by ``_read_csv_rows``: the first row is the
+header, blank rows are skipped, cells are stripped of surrounding whitespace,
+and every other row has as many fields as the header. Every input error names
+its file.
 
 The resulting ScoreMatrix is dense (a missing cell is a hard error) and
 immutable; it is safe to share read-only across workers.
@@ -21,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -291,29 +298,78 @@ def read_json(path: str | Path, parse=dict):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _read_csv_rows(path: Path, expected_header: list[str]) -> list[list[str]]:
+def _read_csv_rows(path: Path, header: list[str]) -> Iterator[list[str]]:
+    """Yield the data rows of a CSV input read by the rules in the module
+    docstring. A last ``header`` entry ``"..."`` stands for one or more further
+    columns."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                found = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise ValidationError(f"{path}: empty file") from None
-            if [h.strip() for h in header] != expected_header:
+            if header[-1] == "...":
+                ok = len(found) >= len(header) and found[:len(header) - 1] == header[:-1]
+            else:
+                ok = found == header
+            if not ok:
                 raise ValidationError(
-                    f"{path}: expected header {','.join(expected_header)!r}, "
-                    f"got {','.join(header)!r}"
+                    f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}"
                 )
-            rows = []
             for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
+                cells = [c.strip() for c in row]
+                if not any(cells):
                     continue
-                if len(row) != len(expected_header):
-                    raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
-                rows.append([c.strip() for c in row])
+                if len(cells) != len(found):
+                    raise ValidationError(f"{path}:{lineno}: expected {len(found)} fields")
+                yield cells
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    return rows
+
+
+def _long_form_grid(
+    path: Path,
+    header: list[str],
+    rows: list[list[str]],
+    row_keys: Sequence[str],
+    col_keys: Sequence[str],
+    convert: Callable[[float, int, int], float],
+    cell_words: tuple[str, str],
+) -> np.ndarray:
+    """Dense grid from long-form ``row key, column key, value`` rows read under
+    ``header``; ``row_keys`` holds every row key. Each value goes through one
+    ``float`` and then ``convert(value, i, j)`` for its cell. An unknown column
+    key, a bad value, a duplicate cell, missing cells and a ``convert`` error
+    name the file; ``cell_words`` is the (singular, plural) word for a cell."""
+    row_pos = {key: i for i, key in enumerate(row_keys)}
+    col_pos = {key: j for j, key in enumerate(col_keys)}
+    grid = np.empty((len(row_keys), len(col_keys)))
+    filled = np.zeros(grid.shape, dtype=bool)
+    for row_key, col_key, text in rows:
+        j = col_pos.get(col_key)
+        if j is None:
+            raise ValidationError(f"{path}: unknown {header[1].replace('_', ' ')} {col_key!r}")
+        i = row_pos[row_key]
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: bad {header[2]} {text!r} for ({row_key}, {col_key})"
+            ) from None
+        if filled[i, j]:
+            raise ValidationError(f"{path}: duplicate {cell_words[0]} ({row_key}, {col_key})")
+        try:
+            grid[i, j] = convert(value, i, j)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+        filled[i, j] = True
+    missing = np.argwhere(~filled)
+    if missing.size:
+        cells = ", ".join(f"({row_keys[i]}, {col_keys[j]})" for i, j in missing[:5])
+        more = "" if len(missing) <= 5 else f" and {len(missing) - 5} more"
+        raise ValidationError(f"{path}: missing {cell_words[1]}: {cells}{more}")
+    return grid
 
 
 def _parse_bool01(text: str, where: str) -> bool:
@@ -329,20 +385,16 @@ def load_items_manifest(path: str | Path) -> tuple[ItemRecord, ...]:
     header = ["item_id", "task_id", "metric", "needs_audio_in", "needs_audio_out"]
     items: list[ItemRecord] = []
     seen: set[str] = set()
-    for row in _read_csv_rows(path, header):
-        item_id, task_id, metric, ain, aout = row
+    for item_id, task_id, metric, ain, aout in _read_csv_rows(path, header):
         if item_id in seen:
             raise ValidationError(f"{path}: duplicate item id {item_id!r}")
         seen.add(item_id)
-        items.append(
-            ItemRecord(
-                item_id=item_id,
-                task_id=task_id,
-                metric_name=metric,
-                needs_audio_in=_parse_bool01(ain, f"{path} item {item_id}"),
-                needs_audio_out=_parse_bool01(aout, f"{path} item {item_id}"),
-            )
-        )
+        where = f"item {item_id}"
+        try:
+            items.append(ItemRecord(item_id, task_id, metric, _parse_bool01(ain, where),
+                                    _parse_bool01(aout, where)))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     if not items:
         raise ValidationError(f"{path}: no items")
     return tuple(items)
@@ -373,74 +425,40 @@ def load_pool(
     for it in items:
         if it.metric_name not in rules:
             raise ValidationError(
-                f"item {it.item_id!r}: metric {it.metric_name!r} missing from norm config"
+                f"{norm_config}: item {it.item_id!r}: metric {it.metric_name!r} "
+                "missing from norm config"
             )
 
     scores_path = Path(raw_scores)
-    rows = _read_csv_rows(scores_path, ["model_id", "item_id", "raw_value"])
+    header = ["model_id", "item_id", "raw_value"]
+    rows = list(_read_csv_rows(scores_path, header))
     if not rows:
         raise ValidationError(f"{scores_path}: no scores")
-    item_pos = {it.item_id: i for i, it in enumerate(items)}
-    model_ids = sorted({row[0] for row in rows})
-    model_pos = {m: i for i, m in enumerate(model_ids)}
+    model_ids = tuple(sorted({row[0] for row in rows}))
+    item_ids = [it.item_id for it in items]
+    item_rules = [rules[it.metric_name] for it in items]
 
-    values = np.full((len(model_ids), len(items)), np.nan)
-    for model_id, item_id, raw_text in rows:
-        if item_id not in item_pos:
-            raise ValidationError(f"{scores_path}: unknown item id {item_id!r}")
+    def score(raw: float, i: int, j: int) -> float:
         try:
-            raw = float(raw_text)
-        except ValueError:
-            raise ValidationError(
-                f"{scores_path}: bad raw_value {raw_text!r} for ({model_id}, {item_id})"
-            ) from None
-        i, j = model_pos[model_id], item_pos[item_id]
-        if not np.isnan(values[i, j]):
-            raise ValidationError(f"{scores_path}: duplicate cell ({model_id}, {item_id})")
-        rule = rules[items[j].metric_name]
-        try:
-            values[i, j] = normalize(raw, rule)
+            return normalize(raw, item_rules[j])
         except ValidationError as exc:
-            raise ValidationError(f"item {item_id!r}, model {model_id!r}: {exc}") from None
+            raise ValidationError(f"item {item_ids[j]!r}, model {model_ids[i]!r}: {exc}") from None
 
-    missing = np.argwhere(np.isnan(values))
-    if missing.size:
-        pairs = ", ".join(
-            f"({model_ids[i]}, {items[j].item_id})" for i, j in missing[:5]
-        )
-        more = "" if len(missing) <= 5 else f" and {len(missing) - 5} more"
-        raise ValidationError(f"missing score cells: {pairs}{more}")
-
-    return ScoreMatrix(tuple(model_ids), items, values)
+    values = _long_form_grid(scores_path, header, rows, model_ids, item_ids, score,
+                             ("cell", "score cells"))
+    return ScoreMatrix(model_ids, items, values)
 
 
 def load_ratings(path: str | Path) -> HumanRatingsTable:
-    """Load ``model_id,dimension,mean_rating`` ratings, rescaling 1-6 to [0,1]."""
+    """Load ``model_id,dimension,mean_rating`` ratings, rescaling 1-6 to [0,1].
+    Models and dimensions keep the order in which the file first names them."""
     path = Path(path)
-    rows = _read_csv_rows(path, ["model_id", "dimension", "mean_rating"])
+    header = ["model_id", "dimension", "mean_rating"]
+    rows = list(_read_csv_rows(path, header))
     if not rows:
         raise ValidationError(f"{path}: no ratings")
-    model_ids: list[str] = []
-    dimensions: list[str] = []
-    cells: dict[tuple[str, str], float] = {}
-    for model_id, dimension, text in rows:
-        if model_id not in model_ids:
-            model_ids.append(model_id)
-        if dimension not in dimensions:
-            dimensions.append(dimension)
-        key = (model_id, dimension)
-        if key in cells:
-            raise ValidationError(f"{path}: duplicate rating for {key}")
-        try:
-            rating = float(text)
-        except ValueError:
-            raise ValidationError(f"{path}: bad mean_rating {text!r} for {key}") from None
-        cells[key] = rescale_rating(rating)
-
-    grid = np.empty((len(model_ids), len(dimensions)))
-    for i, m in enumerate(model_ids):
-        for j, d in enumerate(dimensions):
-            if (m, d) not in cells:
-                raise ValidationError(f"{path}: missing rating for ({m}, {d})")
-            grid[i, j] = cells[(m, d)]
-    return HumanRatingsTable(tuple(model_ids), tuple(dimensions), grid)
+    model_ids = tuple(dict.fromkeys(row[0] for row in rows))
+    dimensions = tuple(dict.fromkeys(row[1] for row in rows))
+    grid = _long_form_grid(path, header, rows, model_ids, dimensions,
+                           lambda rating, i, j: rescale_rating(rating), ("rating", "ratings"))
+    return HumanRatingsTable(model_ids, dimensions, grid)

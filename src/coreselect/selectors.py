@@ -60,6 +60,8 @@ class SelectorConfig:
         for name in ("holdout_fraction", "irt_lr"):
             if not _is_real(getattr(self, name)):
                 raise ValidationError(f"{name} must be a finite real number")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         for name in ("n", "bins", "n_search", "pca_dim", "irt_dim", "irt_epochs"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")

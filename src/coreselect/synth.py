@@ -36,6 +36,8 @@ class SynthConfig:
             raise ValidationError("all synth counts must be positive")
         if self.noise < 0:
             raise ValidationError("noise must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     @property
     def n_items(self) -> int:
@@ -146,6 +148,15 @@ def gen_ratings_likert(
     return out
 
 
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write a header and rows in the CSV dialect the input readers accept."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def write_benchmark_files(
     matrix: ScoreMatrix,
     out_dir: str | Path,
@@ -159,25 +170,17 @@ def write_benchmark_files(
     out_dir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    items_path = out_dir / "items.csv"
-    with open(items_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id", "task_id", "metric", "needs_audio_in", "needs_audio_out"])
-        for it in matrix.items:
-            writer.writerow(
-                [it.item_id, it.task_id, it.metric_name,
-                 int(it.needs_audio_in), int(it.needs_audio_out)]
-            )
-    paths["items"] = items_path
-
-    scores_path = out_dir / "scores.csv"
-    with open(scores_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "item_id", "raw_value"])
-        for i, model_id in enumerate(matrix.model_ids):
-            for j, it in enumerate(matrix.items):
-                writer.writerow([model_id, it.item_id, repr(float(matrix.values[i, j]))])
-    paths["scores"] = scores_path
+    paths["items"] = _write_csv(
+        out_dir / "items.csv",
+        ["item_id", "task_id", "metric", "needs_audio_in", "needs_audio_out"],
+        ([it.item_id, it.task_id, it.metric_name, int(it.needs_audio_in), int(it.needs_audio_out)]
+         for it in matrix.items),
+    )
+    paths["scores"] = _write_csv(
+        out_dir / "scores.csv", ["model_id", "item_id", "raw_value"],
+        ([model_id, it.item_id, repr(float(matrix.values[i, j]))]
+         for i, model_id in enumerate(matrix.model_ids) for j, it in enumerate(matrix.items)),
+    )
 
     norm_path = out_dir / "norm_config.json"
     metrics = sorted({it.metric_name for it in matrix.items})
@@ -191,13 +194,11 @@ def write_benchmark_files(
     if embedding_dim > 0:
         for kind, kind_seed in (("semantic", 101), ("acoustic", 202)):
             vectors = gen_embeddings(config, embedding_dim, kind_seed)
-            path = out_dir / f"{kind}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["item_id"] + [f"v{i}" for i in range(embedding_dim)])
-                for it, row in zip(matrix.items, vectors):
-                    writer.writerow([it.item_id] + [repr(float(v)) for v in row])
-            paths[kind] = path
+            paths[kind] = _write_csv(
+                out_dir / f"{kind}.csv", ["item_id"] + [f"v{i}" for i in range(embedding_dim)],
+                ([it.item_id] + [repr(float(v)) for v in row]
+                 for it, row in zip(matrix.items, vectors)),
+            )
     return paths
 
 
@@ -214,10 +215,8 @@ def write_ratings_file(
         raise ValidationError("rated model count outside the pool")
     model_ids = list(matrix.model_ids[:rated_models])
     ratings = gen_ratings_likert(matrix, model_ids, dimensions, noise, seed)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "dimension", "mean_rating"])
-        for model_id in model_ids:
-            for dim in dimensions:
-                writer.writerow([model_id, dim, repr(ratings[(model_id, dim)])])
-    return out_path
+    return _write_csv(
+        out_path, ["model_id", "dimension", "mean_rating"],
+        ([model_id, dim, repr(ratings[(model_id, dim)])]
+         for model_id in model_ids for dim in dimensions),
+    )

@@ -4,9 +4,12 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coreselect.cli import main
+from coreselect.cli import _load_bundle, main
+from coreselect.embeddings import load_embedding_csv
+from coreselect.pool import load_ratings
 
 
 def run_cli(*argv):
@@ -525,18 +528,70 @@ def _append_row(text, row):
     ("ratings", lambda t: t.splitlines()[0] + "\n", "no ratings"),
     ("norm-config", lambda t: "{", "invalid JSON"),
     ("norm-config", lambda t: "[]", "expected a JSON object"),
+    ("items", lambda t: _edit_row(t, 1, lambda c: ["", *c[1:]]), "empty item_id"),
+    ("scores", lambda t: _edit_row(t, 1, lambda c: [*c[:2], "1.5"]), "1.5 outside [0,1]"),
+    ("scores", lambda t: "\n".join(t.splitlines()[:-1]) + "\n", "missing score cells"),
+    ("ratings", lambda t: _edit_row(t, 1, lambda c: [*c[:2], "7"]), "outside the 1-6 scale"),
+    ("norm-config", lambda t: "{}", "missing from norm config"),
 ], ids=[
     "embedding_empty", "embedding_header", "embedding_fields", "embedding_duplicate",
     "embedding_non_numeric", "embedding_unknown_item", "items_empty", "items_header",
     "items_fields", "items_bad_flag", "items_duplicate", "items_none", "scores_unknown_item",
     "scores_bad_value", "scores_none", "ratings_duplicate", "ratings_bad_value",
-    "ratings_none", "norm_invalid_json", "norm_not_object",
+    "ratings_none", "norm_invalid_json", "norm_not_object", "items_empty_id",
+    "scores_out_of_range", "scores_missing_cell", "ratings_off_scale", "norm_missing_metric",
 ])
 def test_malformed_input_file_exits_1(tmp_path, capsys, valid_inputs, flag, corrupt, fragment):
     path = tmp_path / _FILE_INPUTS[flag]
     path.write_text(corrupt((valid_inputs[0] / _FILE_INPUTS[flag]).read_text()))
     argv = _command_reading(flag, path, valid_inputs)
     _assert_rejects_file(argv, path, tmp_path / "out", capsys, fragment)
+
+
+def _padded_crlf(text):
+    """The same CSV with CRLF line ends, space-padded cells and blank rows."""
+    lines = [" , ".join(f"  {c} " for c in line.split(",")) for line in text.splitlines()]
+    lines[1:1] = ["", "   "]
+    lines.append(" , , ")
+    return "\r\n".join(lines) + "\r\n\r\n"
+
+
+def test_csv_inputs_ignore_crlf_padding_and_blank_rows(tmp_path, valid_inputs):
+    data, bundle, _ = valid_inputs
+    padded = tmp_path / "padded"
+    padded.mkdir()
+    for name in ("items.csv", "scores.csv", "ratings.csv", "semantic.csv"):
+        (padded / name).write_bytes(_padded_crlf((data / name).read_text()).encode())
+    assert run_cli("ingest", "--items", padded / "items.csv", "--scores", padded / "scores.csv",
+                   "--norm-config", data / "norm_config.json", "--out", tmp_path / "b") == 0
+    assert (tmp_path / "b" / "pool.json").read_bytes() == (bundle / "pool.json").read_bytes()
+
+    matrix = _load_bundle(bundle)
+    want = load_embedding_csv(data / "semantic.csv", matrix, "semantic")
+    got = load_embedding_csv(padded / "semantic.csv", matrix, "semantic")
+    assert (got.kind, got.item_ids) == (want.kind, want.item_ids)
+    assert np.array_equal(got.vectors, want.vectors)
+    want, got = load_ratings(data / "ratings.csv"), load_ratings(padded / "ratings.csv")
+    assert (got.model_ids, got.dimensions) == (want.model_ids, want.dimensions)
+    assert np.array_equal(got.ratings_unit, want.ratings_unit)
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate", "synth"])
+def test_negative_seed_exits_1(tmp_path, capsys, valid_inputs, command):
+    bundle = valid_inputs[1]
+    argv = {
+        "select": ["select", "--bundle", bundle, "--method", "random_balanced", "--n", 10],
+        "evaluate": ["evaluate", "--bundle", bundle, "--methods", "random_balanced",
+                     "--sizes", "4,8", "--folds", 2, "--repeats", 1],
+        "synth": ["synth", "--models", 4, "--tasks", 2, "--items-per-task", 3],
+    }[command]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--seed", -1, "--out", out) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert "seed must be >= 0" in err["error"]
+    assert not out.exists()
 
 
 def _quickstart_commands():
