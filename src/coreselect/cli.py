@@ -89,29 +89,30 @@ _SELECTOR_DEFAULTS = {
 }
 
 
-def _selector_params(args: argparse.Namespace) -> dict:
-    """Merge selector parameters: CLI flag > config file > built-in default."""
+def _selector_config(args: argparse.Namespace, **fixed) -> SelectorConfig:
+    """Selector parameters by precedence: `fixed` > CLI flag > config file >
+    built-in default. A config-file value that SelectorConfig rejects is
+    reported with the file's path."""
     from_file: dict = {}
     if getattr(args, "config", None):
         from_file = read_json(args.config)
         unknown = set(from_file) - set(_SELECTOR_DEFAULTS) - {"method", "n"}
         if unknown:
             raise ValidationError(f"{args.config}: unknown keys {sorted(unknown)}")
-    merged = {}
-    for key, default in _SELECTOR_DEFAULTS.items():
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else from_file.get(key, default)
-    merged["method"] = getattr(args, "method", None) or from_file.get("method")
-    merged["n"] = args.n if getattr(args, "n", None) is not None else from_file.get("n")
-    return merged
-
-
-def _selector_config(args: argparse.Namespace) -> SelectorConfig:
-    params = _selector_params(args)
+    flags = {key: getattr(args, key, None) for key in ("method", "n", *_SELECTOR_DEFAULTS)}
+    used_file = {key: value for key, value in from_file.items()
+                 if key not in fixed and flags[key] is None}
+    params = {**_SELECTOR_DEFAULTS, "method": None, "n": None, **used_file,
+              **{key: value for key, value in flags.items() if value is not None}, **fixed}
     if not params["method"]:
         raise ValidationError("no method given (flag --method or config file)")
     if params["n"] is None:
         raise ValidationError("no subset size given (flag --n or config file)")
+    if used_file:
+        try:  # the file's values alone, over valid placeholders
+            SelectorConfig(**{"method": next(iter(METHODS)), "n": 1, "seed": 0, **used_file})
+        except ValidationError as exc:
+            raise ValidationError(f"{args.config}: {exc}") from None
     return SelectorConfig(seed=args.seed, **params)
 
 
@@ -163,11 +164,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     lo, hi = args.aucc_range
     if hi <= lo:
         raise ValidationError(f"--aucc-range needs LO < HI, got {lo} {hi}")
-    params = _selector_params(args)
-    configs = []
-    for m in methods:  # every config is validated before any evaluation starts
-        params.update(method=m, n=max(sizes))
-        configs.append(SelectorConfig(seed=args.seed, **params))
+    # every config is validated before any evaluation starts
+    configs = [_selector_config(args, method=m, n=max(sizes)) for m in methods]
     semantic, acoustic = _load_side_embeddings(args, matrix)
 
     curves = {}
@@ -204,7 +202,13 @@ def cmd_regress(args: argparse.Namespace) -> int:
     matrix = _load_bundle(args.bundle)
     subset = read_json(args.subset, SubsetSpec.from_json_dict)
     ratings = load_ratings(args.ratings)
-    rows = [matrix.model_position(m) for m in ratings.model_ids]  # rated models must exist
+    try:
+        rows = [matrix.model_position(m) for m in ratings.model_ids]
+    except ValidationError as exc:
+        pool_json = Path(args.bundle) / "pool.json"
+        raise ValidationError(
+            f"{args.ratings}: {exc}: the model is not in the pool {pool_json}"
+        ) from None
     positions = [matrix.item_position(i) for i in subset.item_ids]
     features = matrix.values[np.asarray(rows)][:, positions]
 
@@ -288,7 +292,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def _add_selector_params(parser: argparse.ArgumentParser) -> None:
-    # defaults stay None here; _selector_params resolves flag > config file > default
+    # defaults stay None here; _selector_config resolves flag > config file > default
     parser.add_argument("--config", help="selector config JSON (flags override it)")
     default = _SELECTOR_DEFAULTS
     parser.add_argument("--bins", type=int, help=f"difficulty bins (default {default['bins']})")

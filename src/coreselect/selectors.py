@@ -104,18 +104,21 @@ class ClusterResult:
         return np.bincount(self.assignments, weights=weights, minlength=self.k)
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        (points**2).sum(axis=1)[:, None]
-        + (centers**2).sum(axis=1)[None, :]
-        - 2.0 * points @ centers.T
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _pairwise_sq_dists(
+    points: np.ndarray, norms: np.ndarray, centers: np.ndarray, out: np.ndarray, gram: np.ndarray
+) -> None:
+    """max((‖p‖² + ‖c‖²) − (2p)·c, 0) for every point and centre, in that order,
+    into out; norms holds the points' ‖p‖² and gram is scratch of out's shape.
+    (2p)·c is one matmul by 2c: doubling is exact, so every product is the same."""
+    np.matmul(points, (2.0 * centers).T, out=gram)
+    out[:] = norms[:, None]
+    out += (centers**2).sum(axis=1)
+    out -= gram
+    np.maximum(out, 0.0, out=out)
 
 
 def _kmeanspp_seed(
-    points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray, norms: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Distance-weighted greedy seeding: each new seed is drawn with
     probability proportional to weight times squared distance to the nearest
@@ -123,9 +126,10 @@ def _kmeanspp_seed(
     n = points.shape[0]
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = rng.choice(n, p=weights / weights.sum())
-    d2 = _pairwise_sq_dists(points, points[chosen[0]][None, :])[:, 0]
+    d2, new_d2, gram = np.empty((n, 1)), np.empty((n, 1)), np.empty((n, 1))
+    _pairwise_sq_dists(points, norms, points[chosen[0]][None, :], d2, gram)
     for j in range(1, k):
-        mass = weights * d2
+        mass = weights * d2[:, 0]
         total = mass.sum()
         if total <= 0.0:
             # remaining points coincide with chosen seeds; take the first unused
@@ -134,7 +138,7 @@ def _kmeanspp_seed(
             chosen[j] = int(np.flatnonzero(~used)[0])
         else:
             chosen[j] = rng.choice(n, p=mass / total)
-        new_d2 = _pairwise_sq_dists(points, points[chosen[j]][None, :])[:, 0]
+        _pairwise_sq_dists(points, norms, points[chosen[j]][None, :], new_d2, gram)
         np.minimum(d2, new_d2, out=d2)
     return chosen
 
@@ -144,6 +148,21 @@ def _weighted_objective(
 ) -> float:
     diffs = points - centroids[assign]
     return float((weights * (diffs**2).sum(axis=1)).sum())
+
+
+def _weighted_means(
+    wpoints: np.ndarray, w: np.ndarray, assign: np.ndarray, counts: np.ndarray, out: np.ndarray
+) -> None:
+    """Each cluster's (w·p).sum(axis=0) / w.sum() over its rows in ascending
+    order, into out; wpoints holds the rows w·p. One stable sort of the
+    assignment lays each cluster's rows out as one slice; int16 keys, which
+    numpy radix-sorts to the same order, are used whenever the cluster count fits."""
+    keys = assign.astype(np.int16) if counts.size <= np.iinfo(np.int16).max else assign
+    order = np.argsort(keys, kind="stable")
+    ws, wps = w[order], np.take(wpoints, order, axis=0)
+    stops = np.cumsum(counts).tolist()
+    for c, (a, b) in enumerate(zip([0] + stops[:-1], stops)):
+        out[c] = wps[a:b].sum(axis=0) / ws[a:b].sum()
 
 
 def weighted_kmeans(
@@ -160,6 +179,11 @@ def weighted_kmeans(
     the largest weighted distance contribution), anchors are the members
     nearest their centroid (ties to the lowest row index), and the recorded
     per-iteration objective never increases.
+
+    Every bit of the result depends on the arithmetic order, which is fixed:
+    each squared distance is max((‖p‖² + ‖c‖²) − (2p)·c, 0) with ‖p‖² =
+    (p**2).sum(), and each centroid is (w·p).sum(axis=0) / w.sum() over its
+    members' rows in ascending row order.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -179,12 +203,15 @@ def weighted_kmeans(
         return ClusterResult(assign, centroids, np.arange(k, dtype=np.intp), 0.0, (0.0,))
 
     rng = np.random.default_rng(seed)
-    centroids = points[_kmeanspp_seed(points, w, k, rng)].copy()
+    norms = (points**2).sum(axis=1)
+    wpoints = w[:, None] * points
+    centroids = points[_kmeanspp_seed(points, norms, w, k, rng)].copy()
+    d2, gram = np.empty((n, k)), np.empty((n, k))
     assign = np.full(n, -1, dtype=np.intp)
     trace: list[float] = []
 
     for _ in range(max_iter):
-        d2 = _pairwise_sq_dists(points, centroids)
+        _pairwise_sq_dists(points, norms, centroids, d2, gram)
         new_assign = d2.argmin(axis=1)
 
         counts = np.bincount(new_assign, minlength=k)
@@ -200,13 +227,10 @@ def weighted_kmeans(
         assign = new_assign
         if converged:
             break
-        for c in range(k):
-            members = assign == c
-            wm = w[members]
-            centroids[c] = (wm[:, None] * points[members]).sum(axis=0) / wm.sum()
+        _weighted_means(wpoints, w, assign, counts, centroids)
         trace.append(_weighted_objective(points, w, centroids, assign))
 
-    d2 = _pairwise_sq_dists(points, centroids)
+    _pairwise_sq_dists(points, norms, centroids, d2, gram)
     anchors = np.empty(k, dtype=np.intp)
     for c in range(k):
         members = np.flatnonzero(assign == c)

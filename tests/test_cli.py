@@ -262,6 +262,53 @@ def test_select_ill_typed_config_exits_1(tmp_path, capsys, entry, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+def test_bad_selector_value_names_config_file_only_when_read_from_it(
+    tmp_path, capsys, valid_inputs, command
+):
+    bundle = valid_inputs[1]
+    argv = {
+        "select": ["select", "--bundle", bundle, "--method", "difficulty_stratified", "--n", 10],
+        "evaluate": ["evaluate", "--bundle", bundle, "--methods", "difficulty_stratified",
+                     "--sizes", "4,8", "--folds", 2, "--repeats", 1],
+    }[command]
+    config = tmp_path / "selector.json"
+
+    def error(*extra):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", 7, "--config", config, *extra, "--out", out) == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["kind"] == "validation"
+        return err["error"]
+
+    config.write_text(json.dumps({"bins": "x"}))
+    assert error() == f"{config}: bins must be an integer"
+    config.write_text(json.dumps({"bins": 3}))
+    assert error("--bins", 0) == "bins must be >= 1"
+    config.write_text(json.dumps({"bins": "x", "irt_lr": -1}))
+    assert error("--bins", 4) == f"{config}: irt_lr must be > 0"  # the flag's bins replaces "x"
+
+
+def test_regress_rated_model_missing_from_pool_names_both_files(tmp_path, capsys, valid_inputs):
+    data, bundle, subset = valid_inputs
+    lines = (data / "ratings.csv").read_text().splitlines()
+    ghost = lines[1].split(",")[0]
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("\n".join(ln.replace(ghost, "ghost") for ln in lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("regress", "--bundle", bundle, "--subset", subset, "--ratings", ratings,
+                   "--protocol", "lomo", "--out", out) == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert err["error"] == (
+        f"{ratings}: unknown model id 'ghost': the model is not in the pool {bundle / 'pool.json'}"
+    )
+
+
 def test_regress_lomo_and_export(tmp_path):
     data = make_pool_files(tmp_path, rated_models=7)
     bundle = ingest(tmp_path, data)
@@ -507,6 +554,13 @@ def _append_row(text, row):
     return text + ",".join(row) + "\n"
 
 
+def _blank_first_model(text):
+    """The CSV with the model_id of every row of the first row's model emptied."""
+    lines = text.splitlines()
+    model = lines[1].split(",")[0] + ","
+    return "\n".join("," + ln[len(model):] if ln.startswith(model) else ln for ln in lines) + "\n"
+
+
 @pytest.mark.parametrize("flag, corrupt, fragment", [
     ("semantic", lambda t: "", "empty file"),
     ("semantic", lambda t: _edit_row(t, 0, lambda c: ["id", *c[1:]]), "expected header"),
@@ -533,6 +587,8 @@ def _append_row(text, row):
     ("scores", lambda t: "\n".join(t.splitlines()[:-1]) + "\n", "missing score cells"),
     ("ratings", lambda t: _edit_row(t, 1, lambda c: [*c[:2], "7"]), "outside the 1-6 scale"),
     ("norm-config", lambda t: "{}", "missing from norm config"),
+    ("scores", _blank_first_model, "empty model_id"),
+    ("ratings", _blank_first_model, "empty model_id"),
 ], ids=[
     "embedding_empty", "embedding_header", "embedding_fields", "embedding_duplicate",
     "embedding_non_numeric", "embedding_unknown_item", "items_empty", "items_header",
@@ -540,6 +596,7 @@ def _append_row(text, row):
     "scores_bad_value", "scores_none", "ratings_duplicate", "ratings_bad_value",
     "ratings_none", "norm_invalid_json", "norm_not_object", "items_empty_id",
     "scores_out_of_range", "scores_missing_cell", "ratings_off_scale", "norm_missing_metric",
+    "scores_empty_model", "ratings_empty_model",
 ])
 def test_malformed_input_file_exits_1(tmp_path, capsys, valid_inputs, flag, corrupt, fragment):
     path = tmp_path / _FILE_INPUTS[flag]

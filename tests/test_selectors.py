@@ -120,6 +120,134 @@ def test_kmeans_input_validation(rng):
         weighted_kmeans(points, np.array([0.5, 0.5, 0.0, 0.0]), 2, seed=0)
 
 
+def _oracle_sq_dists(points, centers):
+    d2 = (
+        (points**2).sum(axis=1)[:, None]
+        + (centers**2).sum(axis=1)[None, :]
+        - 2.0 * points @ centers.T
+    )
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _oracle_kmeanspp_seed(points, weights, k, rng):
+    n = points.shape[0]
+    chosen = np.empty(k, dtype=np.intp)
+    chosen[0] = rng.choice(n, p=weights / weights.sum())
+    d2 = _oracle_sq_dists(points, points[chosen[0]][None, :])[:, 0]
+    for j in range(1, k):
+        mass = weights * d2
+        total = mass.sum()
+        if total <= 0.0:
+            used = np.zeros(n, dtype=bool)
+            used[chosen[:j]] = True
+            chosen[j] = int(np.flatnonzero(~used)[0])
+        else:
+            chosen[j] = rng.choice(n, p=mass / total)
+        new_d2 = _oracle_sq_dists(points, points[chosen[j]][None, :])[:, 0]
+        np.minimum(d2, new_d2, out=d2)
+    return chosen
+
+
+def _oracle_objective(points, weights, centroids, assign):
+    diffs = points - centroids[assign]
+    return float((weights * (diffs**2).sum(axis=1)).sum())
+
+
+def oracle_weighted_kmeans(points, w, k, seed, max_iter=300):
+    """Reference Lloyd loop in its direct form: norms recomputed for every
+    distance call and one `assign == c` mask per cluster. Returns
+    (assignments, centroids, anchor rows, objective, trace, whether an empty
+    cluster was repaired)."""
+    n = points.shape[0]
+    if k > 1 and bool((points == points[0]).all()):
+        assign = np.zeros(n, dtype=np.intp)
+        assign[:k] = np.arange(k)
+        centroids = np.repeat(points[0][None, :], k, axis=0)
+        return assign, centroids, np.arange(k, dtype=np.intp), 0.0, (0.0,), False
+    rng = np.random.default_rng(seed)
+    centroids = points[_oracle_kmeanspp_seed(points, w, k, rng)].copy()
+    assign = np.full(n, -1, dtype=np.intp)
+    trace = []
+    repaired = False
+    for _ in range(max_iter):
+        d2 = _oracle_sq_dists(points, centroids)
+        new_assign = d2.argmin(axis=1)
+        counts = np.bincount(new_assign, minlength=k)
+        for empty in np.flatnonzero(counts == 0):
+            repaired = True
+            contrib = w * d2[np.arange(n), new_assign]
+            contrib[counts[new_assign] < 2] = -np.inf
+            mover = int(np.argmax(contrib))
+            counts[new_assign[mover]] -= 1
+            new_assign[mover] = empty
+            counts[empty] = 1
+        converged = bool((new_assign == assign).all())
+        assign = new_assign
+        if converged:
+            break
+        for c in range(k):
+            members = assign == c
+            wm = w[members]
+            centroids[c] = (wm[:, None] * points[members]).sum(axis=0) / wm.sum()
+        trace.append(_oracle_objective(points, w, centroids, assign))
+    d2 = _oracle_sq_dists(points, centroids)
+    anchors = np.empty(k, dtype=np.intp)
+    for c in range(k):
+        members = np.flatnonzero(assign == c)
+        anchors[c] = members[int(np.argmin(d2[members, c]))]
+    objective = _oracle_objective(points, w, centroids, assign)
+    if not trace:
+        trace.append(objective)
+    return assign, centroids, anchors, objective, tuple(trace), repaired
+
+
+def _oracle_pools(rng, count):
+    """Seeded (points, weights, k) pools: Gaussian, integer-grid with heavy
+    ties, signed zeros, rounded weights, d = 1, k = 1 and k = n."""
+    for i in range(count):
+        n = int(rng.integers(1, 90))
+        d = 1 if i % 4 == 0 else int(rng.integers(2, 14))
+        kind = i % 3
+        if kind == 0:
+            points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+        elif kind == 1:
+            points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        else:
+            points = rng.integers(-1, 2, size=(n, d)) * 0.5
+            points[points == 0.0] = np.where(rng.random((points == 0.0).sum()) < 0.5, 0.0, -0.0)
+        w = rng.random(n) + 0.01
+        if i % 2:
+            w = np.round(w, 1) + 0.05
+        k = 1 if i % 10 == 0 else n if i % 10 == 4 else int(rng.integers(1, n + 1))
+        yield points, w / w.sum() if i % 7 else w, k
+
+
+def _assert_kmeans_matches_oracle(points, w, k, seed):
+    res = weighted_kmeans(points, w, k, seed)
+    assign, centroids, anchors, objective, trace, repaired = oracle_weighted_kmeans(
+        points, w, k, seed
+    )
+    assert res.assignments.tobytes() == assign.tobytes()
+    assert res.centroids.tobytes() == centroids.tobytes()
+    assert res.anchor_rows.tobytes() == anchors.tobytes()
+    assert res.objective == objective
+    assert res.objective_trace == trace
+    return repaired
+
+
+def test_kmeans_bit_identical_to_mask_loop_oracle():
+    rng = np.random.default_rng(91)
+    repaired = 0
+    for seed, (points, w, k) in enumerate(_oracle_pools(rng, 360)):
+        repaired += _assert_kmeans_matches_oracle(points, w, k, seed)
+    base = rng.standard_normal((5, 2))
+    assert _assert_kmeans_matches_oracle(np.vstack([base, base, base]), np.full(15, 1 / 15), 7, 1)
+    assert repaired  # the random pools reach the empty-cluster repair too
+    big = rng.standard_normal((5000, 12)) + rng.integers(0, 4, size=(5000, 1)) * 3.0
+    _assert_kmeans_matches_oracle(big, rng.random(5000) + 0.1, 50, 5)
+
+
 # ------------------------------------------------- random balanced draws
 
 def test_random_balanced_expected_task_counts(rng):
