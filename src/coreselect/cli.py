@@ -202,14 +202,18 @@ def cmd_regress(args: argparse.Namespace) -> int:
     matrix = _load_bundle(args.bundle)
     subset = read_json(args.subset, SubsetSpec.from_json_dict)
     ratings = load_ratings(args.ratings)
-    try:
-        rows = [matrix.model_position(m) for m in ratings.model_ids]
-    except ValidationError as exc:
-        pool_json = Path(args.bundle) / "pool.json"
-        raise ValidationError(
-            f"{args.ratings}: {exc}: the model is not in the pool {pool_json}"
-        ) from None
-    positions = [matrix.item_position(i) for i in subset.item_ids]
+    pool_json = Path(args.bundle) / "pool.json"
+
+    def pool_positions(lookup, keys, source, what):
+        try:
+            return [lookup(key) for key in keys]
+        except ValidationError as exc:
+            raise ValidationError(
+                f"{source}: {exc}: the {what} is not in the pool {pool_json}"
+            ) from None
+
+    rows = pool_positions(matrix.model_position, ratings.model_ids, args.ratings, "model")
+    positions = pool_positions(matrix.item_position, subset.item_ids, args.subset, "item")
     features = matrix.values[np.asarray(rows)][:, positions]
 
     if args.protocol == "lomo":
@@ -227,8 +231,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
     _write_manifest(out, "regress", {
         "protocol": args.protocol, "dimension": args.dimension,
         "subset_method": subset.method, "subset_n": subset.n,
-    }, None, {"bundle": Path(args.bundle) / "pool.json",
-              "subset": Path(args.subset), "ratings": Path(args.ratings)})
+    }, None, {"bundle": pool_json, "subset": Path(args.subset), "ratings": Path(args.ratings)})
     label = (f"mean Pearson {report.mean_pearson}" if args.protocol == "lomo"
              else f"accuracy {report.accuracy}")
     print(f"{args.protocol} on {len(ratings.model_ids)} models: {label} -> {out}")
@@ -267,6 +270,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         if "=" not in spec:
             raise ValidationError(f"--regression expects dimension=path, got {spec!r}")
         dim, path = spec.split("=", 1)
+        if dim in regression:
+            raise ValidationError(f"--regression names the dimension {dim!r} more than once")
         model = read_json(path, RidgeModel.from_json_dict)
         if set(model.item_ids or ()) != set(subset.item_ids):
             raise ValidationError(

@@ -244,6 +244,8 @@ def crossval_curve(
         raise ValidationError(f"size {sizes[-1]} exceeds pool size {matrix.n_items}")
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
 
     ref = reference_scores(matrix)
     run = partial(

@@ -339,10 +339,10 @@ def _long_form_grid(
 ) -> np.ndarray:
     """Dense grid from long-form ``row key, column key, value`` rows read under
     ``header``; ``row_keys`` holds every row key. Each value goes through one
-    ``float`` and then ``convert(value, i, j)`` for its cell. An empty row key,
-    an unknown column key, a bad value, a duplicate cell, missing cells and a
-    ``convert`` error name the file; ``cell_words`` is the (singular, plural)
-    word for a cell."""
+    ``float`` and then ``convert(value, i, j)`` for its cell. An empty row or
+    column key, an unknown column key, a bad value, a duplicate cell, missing
+    cells and a ``convert`` error name the file; ``cell_words`` is the
+    (singular, plural) word for a cell."""
     row_pos = {key: i for i, key in enumerate(row_keys)}
     col_pos = {key: j for j, key in enumerate(col_keys)}
     grid = np.empty((len(row_keys), len(col_keys)))
@@ -350,6 +350,8 @@ def _long_form_grid(
     for row_key, col_key, text in rows:
         if not row_key:
             raise ValidationError(f"{path}: empty {header[0]}")
+        if not col_key:
+            raise ValidationError(f"{path}: empty {header[1]}")
         j = col_pos.get(col_key)
         if j is None:
             raise ValidationError(f"{path}: unknown {header[1].replace('_', ' ')} {col_key!r}")

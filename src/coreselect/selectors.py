@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -246,30 +246,34 @@ def _require_models(matrix: ScoreMatrix, minimum: int, what: str) -> None:
         raise ValidationError(f"{what} needs at least {minimum} models")
 
 
-def _draw_balanced(
-    matrix: ScoreMatrix, n: int, p: np.ndarray, rng: np.random.Generator
-) -> list[str]:
-    """n distinct items drawn with probabilities p (the normalized balance weights)."""
+def _require_items(matrix: ScoreMatrix, n: int) -> None:
     if n > matrix.n_items:
         raise ValidationError(f"n={n} exceeds pool size {matrix.n_items}")
-    idx = rng.choice(matrix.n_items, size=n, replace=False, p=p, shuffle=False)
-    return [matrix.item_ids[i] for i in idx]
+
+
+def _draw_balanced(
+    matrix: ScoreMatrix, n: int, p: np.ndarray, seed: int, index: int
+) -> np.ndarray:
+    """Item positions of balanced draw `index`: n distinct items drawn with
+    probabilities p (the normalized balance weights) from the stream
+    SeedSequence([seed, 0, index])."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0, index]))
+    return rng.choice(matrix.n_items, size=n, replace=False, p=p, shuffle=False)
 
 
 def select_random_balanced(matrix: ScoreMatrix, n: int, seed: int) -> SubsetSpec:
     """Task-balanced random draw without replacement, uniform weights."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0, 0]))
+    _require_items(matrix, n)
     b = balance_weights(matrix)
-    ids = _draw_balanced(matrix, n, b / b.sum(), rng)
-    return SubsetSpec.uniform("random_balanced", ids, seed)
+    idx = _draw_balanced(matrix, n, b / b.sum(), seed, 0)
+    return SubsetSpec.uniform("random_balanced", [matrix.item_ids[i] for i in idx], seed)
 
 
 def select_variance_top(matrix: ScoreMatrix, n: int, seed: int = 0) -> SubsetSpec:
     """Top-n items by sample variance across models (K-1 denominator),
     ties broken toward the lowest item_id."""
     _require_models(matrix, 2, "variance selection")
-    if n > matrix.n_items:
-        raise ValidationError(f"n={n} exceeds pool size {matrix.n_items}")
+    _require_items(matrix, n)
     by_id = matrix.id_order
     var = matrix.values.var(axis=0, ddof=1)
     order = by_id[np.argsort(-var[by_id], kind="stable")]
@@ -287,8 +291,7 @@ def select_difficulty_stratified(
     r = n mod bins fresh quantile bins and takes one from each.
     """
     _require_models(matrix, 2, "difficulty stratification")
-    if n > matrix.n_items:
-        raise ValidationError(f"n={n} exceeds pool size {matrix.n_items}")
+    _require_items(matrix, n)
     rng = np.random.default_rng(seed)
     difficulty = 1.0 - matrix.values.mean(axis=0)
     task_sizes = np.empty(matrix.n_items)
@@ -344,8 +347,7 @@ def select_anchor_points(
     """
     if embeddings.item_ids != matrix.item_ids:
         raise ValidationError("embedding rows do not match the pool")
-    if n > matrix.n_items:
-        raise ValidationError(f"n={n} exceeds pool size {matrix.n_items}")
+    _require_items(matrix, n)
     b = balance_weights(matrix)
     by_id = matrix.id_order
     result = weighted_kmeans(embeddings.vectors[by_id], b[by_id], n, seed)
@@ -367,69 +369,46 @@ class LearnSelection:
     candidate_mae: tuple[float, ...] = ()
 
 
-def _subset_features(matrix: ScoreMatrix, item_ids: Sequence[str]) -> np.ndarray:
-    positions = [matrix.item_position(i) for i in item_ids]
-    return matrix.values[:, positions]
-
-
 def select_learn(matrix: ScoreMatrix, config: SelectorConfig) -> LearnSelection:
     """Random-Sampling-Learn / Random-Search-Learn, by config.method.
 
-    random_sampling_learn: one task-balanced draw, then a Ridge fit from
-    subset score vectors to full-pool reference scores (lambda by 5-fold CV).
+    random_sampling_learn: balanced draw 0 (the random_balanced subset), then
+    a Ridge fit from subset score vectors to full-pool reference scores
+    (lambda by 5-fold CV).
 
-    random_search_learn: config.n_search task-balanced candidate draws scored
-    by validation MAE on a fixed config.holdout_fraction split of the source
-    models; the best candidate is refit on all source models. With
-    n_search=1 this reduces to sampling.
+    random_search_learn: config.n_search balanced draws scored by validation
+    MAE on a fixed config.holdout_fraction split of the source models; the
+    first draw of least MAE is refit on all source models. With n_search=1
+    this reduces to sampling.
     """
     method, n, seed, lambda_grid = config.method, config.n, config.seed, config.lambda_grid
     if method not in ("random_sampling_learn", "random_search_learn"):
         raise ValidationError(f"{method} is not a learn method")
     _require_models(matrix, 4, "learn-method selection")
+    _require_items(matrix, n)
     k = matrix.n_models
     ref = reference_scores(matrix)
-    cv_folds = min(5, k)
     b = balance_weights(matrix)
     p = b / b.sum()  # draw probabilities, shared by every candidate
 
-    def candidate(index: int) -> list[str]:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, index]))
-        return _draw_balanced(matrix, n, p, rng)
-
-    def final_fit(item_ids: Sequence[str]) -> RidgeModel:
-        x = _subset_features(matrix, item_ids)
-        return ridge_cv(x, ref, lambda_grid, folds=cv_folds, item_ids=item_ids)
-
-    if method == "random_sampling_learn":
-        ids = candidate(0)
-        return LearnSelection(SubsetSpec.uniform(method, ids, seed), final_fit(ids))
-
-    split_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    perm = split_rng.permutation(k)
-    n_val = max(1, int(round(k * config.holdout_fraction)))
-    val_rows, train_rows = perm[:n_val], perm[n_val:]
-    if len(train_rows) < 2:
-        raise ValidationError("not enough source models for the search split")
-    train_folds = min(5, len(train_rows))
-
-    best_ids: list[str] | None = None
-    best_mae = np.inf
     maes: list[float] = []
-    for i in range(config.n_search):
-        ids = candidate(i)
-        x = _subset_features(matrix, ids)
-        model = ridge_cv(x[train_rows], ref[train_rows], lambda_grid, folds=train_folds)
-        mae = float(np.abs(model.predict(x[val_rows]) - ref[val_rows]).mean())
-        maes.append(mae)
-        if mae < best_mae:
-            best_mae = mae
-            best_ids = ids
+    if method == "random_search_learn":
+        perm = np.random.default_rng(np.random.SeedSequence([seed, 1])).permutation(k)
+        n_val = max(1, int(round(k * config.holdout_fraction)))
+        val_rows, train_rows = perm[:n_val], perm[n_val:]
+        if len(train_rows) < 2:
+            raise ValidationError("not enough source models for the search split")
+        train_folds = min(5, len(train_rows))
+        for i in range(config.n_search):
+            x = matrix.values[:, _draw_balanced(matrix, n, p, seed, i)]
+            model = ridge_cv(x[train_rows], ref[train_rows], lambda_grid, folds=train_folds)
+            maes.append(float(np.abs(model.predict(x[val_rows]) - ref[val_rows]).mean()))
 
-    assert best_ids is not None
-    return LearnSelection(
-        SubsetSpec.uniform(method, best_ids, seed), final_fit(best_ids), tuple(maes)
-    )
+    # search keeps the first candidate of least MAE (np.argmin's tie rule); sampling, draw 0
+    idx = _draw_balanced(matrix, n, p, seed, int(np.argmin(maes)) if maes else 0)
+    ids = [matrix.item_ids[i] for i in idx]
+    model = ridge_cv(matrix.values[:, idx], ref, lambda_grid, folds=min(5, k), item_ids=ids)
+    return LearnSelection(SubsetSpec.uniform(method, ids, seed), model, tuple(maes))
 
 
 def _prepare_nothing(matrix, config, semantic, acoustic) -> None:

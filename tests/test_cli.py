@@ -205,6 +205,19 @@ def test_evaluate_empty_aucc_range_exit_1(tmp_path, capsys, lo, hi):
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_evaluate_jobs_below_1_exit_1(tmp_path, capsys, valid_inputs, jobs):
+    assert run_cli(
+        "evaluate", "--bundle", valid_inputs[1], "--methods", "random_balanced",
+        "--sizes", "8", "--folds", 2, "--repeats", 1, "--seed", 5, "--jobs", jobs,
+        "--out", tmp_path / "ev",
+    ) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert err["error"] == "jobs must be >= 1"
+    assert not (tmp_path / "ev").exists()
+
+
 def test_evaluate_default_sizes_are_those_that_fit_the_pool(tmp_path):
     bundle = ingest(tmp_path, make_pool_files(tmp_path))  # 4 tasks x 12 = 48 items
     out = tmp_path / "ev"
@@ -309,6 +322,25 @@ def test_regress_rated_model_missing_from_pool_names_both_files(tmp_path, capsys
     )
 
 
+def test_regress_subset_item_missing_from_pool_names_both_files(tmp_path, capsys, valid_inputs):
+    data, bundle, subset = valid_inputs
+    doc = json.loads(subset.read_text())
+    doc["items"][0]["item_id"] = "ghost"
+    ghost_subset = tmp_path / "subset.json"
+    ghost_subset.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("regress", "--bundle", bundle, "--subset", ghost_subset,
+                   "--ratings", data / "ratings.csv", "--protocol", "lomo", "--out", out) == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert err["error"] == (
+        f"{ghost_subset}: unknown item id 'ghost': the item is not in the pool "
+        f"{bundle / 'pool.json'}"
+    )
+
+
 def test_regress_lomo_and_export(tmp_path):
     data = make_pool_files(tmp_path, rated_models=7)
     bundle = ingest(tmp_path, data)
@@ -367,6 +399,25 @@ def test_export_rejects_mismatched_regressor(tmp_path):
                    "--regression", f"overall={reg / 'ridge_overall.json'}",
                    "--out", tmp_path / "rel")
     assert code == 1
+
+
+def test_export_rejects_repeated_regression_dimension(tmp_path, capsys, valid_inputs):
+    data, bundle, subset = valid_inputs
+    fits = []
+    for protocol in ("lomo", "pairwise52"):
+        reg = tmp_path / protocol
+        assert run_cli("regress", "--bundle", bundle, "--subset", subset,
+                       "--ratings", data / "ratings.csv", "--protocol", protocol,
+                       "--out", reg) == 0
+        fits.append(reg / "ridge_overall.json")
+    capsys.readouterr()
+    out = tmp_path / "rel"
+    assert run_cli("export", "--subset", subset, "--regression", f"overall={fits[0]}",
+                   "--regression", f"overall={fits[1]}", "--out", out) == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert "'overall'" in err["error"]
 
 
 def test_full_pipeline_rerun_is_byte_identical(tmp_path):
@@ -561,6 +612,13 @@ def _blank_first_model(text):
     return "\n".join("," + ln[len(model):] if ln.startswith(model) else ln for ln in lines) + "\n"
 
 
+def _blank_first_dimension(text):
+    """The ratings CSV with every row of the first row's dimension given an empty one."""
+    lines = text.splitlines()
+    dim = "," + lines[1].split(",")[1] + ","
+    return "\n".join(ln.replace(dim, ",,") for ln in lines) + "\n"
+
+
 @pytest.mark.parametrize("flag, corrupt, fragment", [
     ("semantic", lambda t: "", "empty file"),
     ("semantic", lambda t: _edit_row(t, 0, lambda c: ["id", *c[1:]]), "expected header"),
@@ -589,6 +647,8 @@ def _blank_first_model(text):
     ("norm-config", lambda t: "{}", "missing from norm config"),
     ("scores", _blank_first_model, "empty model_id"),
     ("ratings", _blank_first_model, "empty model_id"),
+    ("ratings", _blank_first_dimension, "empty dimension"),
+    ("scores", lambda t: _edit_row(t, 1, lambda c: [c[0], "", c[2]]), "empty item_id"),
 ], ids=[
     "embedding_empty", "embedding_header", "embedding_fields", "embedding_duplicate",
     "embedding_non_numeric", "embedding_unknown_item", "items_empty", "items_header",
@@ -596,7 +656,7 @@ def _blank_first_model(text):
     "scores_bad_value", "scores_none", "ratings_duplicate", "ratings_bad_value",
     "ratings_none", "norm_invalid_json", "norm_not_object", "items_empty_id",
     "scores_out_of_range", "scores_missing_cell", "ratings_off_scale", "norm_missing_metric",
-    "scores_empty_model", "ratings_empty_model",
+    "scores_empty_model", "ratings_empty_model", "ratings_empty_dimension", "scores_empty_item",
 ])
 def test_malformed_input_file_exits_1(tmp_path, capsys, valid_inputs, flag, corrupt, fragment):
     path = tmp_path / _FILE_INPUTS[flag]

@@ -478,9 +478,9 @@ def test_learn_search_keeps_argmin_candidate(rng):
     assert len(sel.candidate_mae) == 12
     # the kept subset is the argmin candidate: re-derive that candidate's draw
     kept_rank = sel.candidate_mae.index(min(sel.candidate_mae))
-    rng_i = np.random.default_rng(np.random.SeedSequence([7, 0, kept_rank]))
     b = balance_weights(m)
-    assert tuple(_draw_balanced(m, 5, b / b.sum(), rng_i)) == sel.subset.item_ids
+    kept = _draw_balanced(m, 5, b / b.sum(), 7, kept_rank)
+    assert tuple(m.item_ids[i] for i in kept) == sel.subset.item_ids
     assert all(min(sel.candidate_mae) <= mae for mae in sel.candidate_mae)
 
 
@@ -491,6 +491,85 @@ def test_learn_single_candidate_reduces_to_sampling(rng):
     assert search.subset.item_ids == sampling.subset.item_ids
     assert search.model.lam == sampling.model.lam
     assert search.model.weights == pytest.approx(sampling.model.weights)
+
+
+def two_path_learn_oracle(matrix, config):
+    """select_learn in its two-path form: sampling returns draw 0 early;
+    search keeps a candidate only when its MAE is strictly below the best."""
+    from coreselect.regression import ridge_cv
+
+    n, seed, grid, k = config.n, config.seed, config.lambda_grid, matrix.n_models
+    ref = reference_scores(matrix)
+    b = balance_weights(matrix)
+    p = b / b.sum()
+
+    def candidate(index):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, index]))
+        idx = rng.choice(matrix.n_items, size=n, replace=False, p=p, shuffle=False)
+        return [matrix.item_ids[i] for i in idx]
+
+    def features(ids):
+        return matrix.values[:, [matrix.item_position(i) for i in ids]]
+
+    def final_fit(ids):
+        return ridge_cv(features(ids), ref, grid, folds=min(5, k), item_ids=ids)
+
+    if config.method == "random_sampling_learn":
+        ids = candidate(0)
+        return ids, final_fit(ids), ()
+    perm = np.random.default_rng(np.random.SeedSequence([seed, 1])).permutation(k)
+    n_val = max(1, int(round(k * config.holdout_fraction)))
+    val_rows, train_rows = perm[:n_val], perm[n_val:]
+    best_ids, best_mae, maes = None, np.inf, []
+    for i in range(config.n_search):
+        ids = candidate(i)
+        x = features(ids)
+        model = ridge_cv(x[train_rows], ref[train_rows], grid, folds=min(5, len(train_rows)))
+        mae = float(np.abs(model.predict(x[val_rows]) - ref[val_rows]).mean())
+        maes.append(mae)
+        if mae < best_mae:
+            best_ids, best_mae = ids, mae
+    return best_ids, final_fit(best_ids), tuple(maes)
+
+
+def assert_learn_matches_oracle(m, config):
+    sel = select_learn(m, config)
+    ids, model, maes = two_path_learn_oracle(m, config)
+    assert sel.subset.item_ids == tuple(ids)
+    assert sel.model.weights.tobytes() == model.weights.tobytes()
+    assert sel.model.intercept == model.intercept
+    assert sel.model.lam == model.lam
+    assert sel.candidate_mae == maes
+    return sel
+
+
+def test_learn_bit_identical_to_two_path_oracle():
+    for pool in range(40):
+        rng = np.random.default_rng([20240817, pool])
+        k = (4, 5, 7, 9, 12)[pool % 5]
+        m = random_matrix(rng, k, list(rng.integers(1, 7, size=int(rng.integers(1, 4)))))
+        n = (1, m.n_items, int(rng.integers(1, m.n_items + 1)))[pool % 3]
+        grid = ((0.01, 0.1, 1.0), (0.5,), (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0))[pool % 3]
+        for method in ("random_sampling_learn", "random_search_learn"):
+            config = SelectorConfig(method, n=n, seed=pool, n_search=1 + pool % 9,
+                                    lambda_grid=grid)
+            assert_learn_matches_oracle(m, config)
+
+
+def test_learn_search_all_tied_keeps_draw_zero(rng):
+    from coreselect.selectors import _draw_balanced
+
+    # constant columns of exact binary fractions: every candidate predicts
+    # the reference exactly, so every MAE ties and draw 0 is kept
+    m = make_matrix(np.tile(rng.choice([0.25, 0.5, 0.75], size=12), (6, 1)), [4, 8])
+    sel = assert_learn_matches_oracle(
+        m, SelectorConfig("random_search_learn", n=3, seed=5, n_search=10)
+    )
+    assert len(set(sel.candidate_mae)) == 1
+    b = balance_weights(m)
+    draws = [tuple(_draw_balanced(m, 3, b / b.sum(), 5, i)) for i in range(10)]
+    assert len(set(draws)) > 1  # the candidates differ; only their MAEs tie
+    assert sel.subset.item_ids == tuple(m.item_ids[i] for i in draws[0])
 
 
 def test_learn_requires_enough_models(rng):
