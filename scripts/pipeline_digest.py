@@ -18,6 +18,12 @@ every method at n=20; evaluate of every method at sizes 10,20,50,200 (3 folds
 x 2 repeats, 20 search draws), once with --jobs 1 and once with --jobs 2;
 regress with lomo and pairwise52 on every rated dimension for every subset;
 export of every subset with its lomo regressors.
+
+A second synth pool of 18 models x 40 tasks x 100 items (4,000 items) runs
+one anchor_points select at n=60 and one anchor_points evaluate at sizes 50,60
+(3 folds x 1 repeat). Its K-Means calls have n·k of at least 200,000, so they
+take the bounded Lloyd steps of ``selectors.weighted_kmeans`` that the small
+pool never reaches.
 """
 
 from __future__ import annotations
@@ -71,6 +77,19 @@ def run_pipeline(cli_main, methods, root: Path) -> None:
              "--out", root / "export" / method)
 
 
+def run_large_pool(cli_main, root: Path) -> None:
+    data, bundle = root / "large" / "data", root / "large" / "bundle"
+    _run(cli_main, "synth", "--models", 18, "--tasks", 40, "--items-per-task", 100,
+         "--seed", SEED, "--out", data)
+    _run(cli_main, "ingest", "--items", data / "items.csv", "--scores", data / "scores.csv",
+         "--norm-config", data / "norm_config.json", "--out", bundle)
+    _run(cli_main, "select", "--bundle", bundle, "--method", "anchor_points", "--n", 60,
+         "--seed", SEED, "--out", root / "large" / "select")
+    _run(cli_main, "evaluate", "--bundle", bundle, "--methods", "anchor_points",
+         "--sizes", "50,60", "--folds", 3, "--repeats", 1, "--seed", SEED,
+         "--out", root / "large" / "evaluate")
+
+
 def main() -> None:
     checkout = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(checkout.resolve() / "src"))
@@ -79,6 +98,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         run_pipeline(cli_main, METHODS, root)
+        run_large_pool(cli_main, root)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(root).as_posix()}")

@@ -152,6 +152,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValidationError("--methods names no method")
+    for m in methods:
+        if methods.count(m) > 1:
+            raise ValidationError(f"--methods names the method {m!r} more than once")
     if args.sizes is None:
         sizes = tuple(s for s in DEFAULT_SIZES if s <= matrix.n_items)
         if not sizes:
@@ -270,6 +273,9 @@ def cmd_export(args: argparse.Namespace) -> int:
         if "=" not in spec:
             raise ValidationError(f"--regression expects dimension=path, got {spec!r}")
         dim, path = spec.split("=", 1)
+        dim = dim.strip()
+        if not dim:
+            raise ValidationError(f"--regression names an empty dimension in {spec!r}")
         if dim in regression:
             raise ValidationError(f"--regression names the dimension {dim!r} more than once")
         model = read_json(path, RidgeModel.from_json_dict)

@@ -218,6 +218,17 @@ def test_evaluate_jobs_below_1_exit_1(tmp_path, capsys, valid_inputs, jobs):
     assert not (tmp_path / "ev").exists()
 
 
+def test_evaluate_repeated_method_exit_1(tmp_path, capsys, valid_inputs):
+    assert run_cli(
+        "evaluate", "--bundle", valid_inputs[1], "--methods", "random_balanced,random_balanced",
+        "--sizes", "8", "--folds", 2, "--repeats", 1, "--seed", 5, "--out", tmp_path / "ev",
+    ) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert "'random_balanced'" in err["error"]
+    assert not (tmp_path / "ev").exists()
+
+
 def test_evaluate_default_sizes_are_those_that_fit_the_pool(tmp_path):
     bundle = ingest(tmp_path, make_pool_files(tmp_path))  # 4 tasks x 12 = 48 items
     out = tmp_path / "ev"
@@ -418,6 +429,38 @@ def test_export_rejects_repeated_regression_dimension(tmp_path, capsys, valid_in
     err = json.loads(capsys.readouterr().err.strip())
     assert err["kind"] == "validation"
     assert "'overall'" in err["error"]
+
+
+@pytest.mark.parametrize("dim", ["", " "])
+def test_export_rejects_empty_regression_dimension(tmp_path, capsys, valid_inputs, dim):
+    data, bundle, subset = valid_inputs
+    reg = tmp_path / "reg"
+    assert run_cli("regress", "--bundle", bundle, "--subset", subset,
+                   "--ratings", data / "ratings.csv", "--protocol", "lomo", "--out", reg) == 0
+    capsys.readouterr()
+    out = tmp_path / "rel"
+    assert run_cli("export", "--subset", subset,
+                   "--regression", f"{dim}={reg / 'ridge_overall.json'}", "--out", out) == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert "empty dimension" in err["error"]
+
+
+def test_export_strips_regression_dimension(tmp_path, capsys, valid_inputs):
+    data, bundle, subset = valid_inputs
+    reg = tmp_path / "reg"
+    assert run_cli("regress", "--bundle", bundle, "--subset", subset,
+                   "--ratings", data / "ratings.csv", "--protocol", "lomo", "--out", reg) == 0
+    fit = reg / "ridge_overall.json"
+    assert run_cli("export", "--subset", subset, "--regression", f" overall ={fit}",
+                   "--out", tmp_path / "rel") == 0
+    release = json.loads((tmp_path / "rel" / "release.json").read_text())
+    assert list(release["regression_mode"]) == ["overall"]
+    capsys.readouterr()
+    assert run_cli("export", "--subset", subset, "--regression", f"overall={fit}",
+                   "--regression", f"overall ={fit}", "--out", tmp_path / "rel2") == 1
+    assert "more than once" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
 def test_full_pipeline_rerun_is_byte_identical(tmp_path):

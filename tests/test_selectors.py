@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from coreselect import selectors
 from coreselect.cli import _canonical_json
 from coreselect.embeddings import performance_embeddings
 from coreselect.errors import ValidationError
@@ -246,6 +247,105 @@ def test_kmeans_bit_identical_to_mask_loop_oracle():
     assert repaired  # the random pools reach the empty-cluster repair too
     big = rng.standard_normal((5000, 12)) + rng.integers(0, 4, size=(5000, 1)) * 3.0
     _assert_kmeans_matches_oracle(big, rng.random(5000) + 0.1, 50, 5)
+
+
+def _count_kernel_rows(monkeypatch, k):
+    """Rows of every k-centre distance call that weighted_kmeans makes from now on."""
+    rows = []
+    kernel = selectors._pairwise_sq_dists
+
+    def counting(points, norms, centers, out, gram):
+        if centers.shape[0] == k:
+            rows.append(points.shape[0])
+        kernel(points, norms, centers, out, gram)
+
+    monkeypatch.setattr(selectors, "_pairwise_sq_dists", counting)
+    return rows
+
+
+def _full_kernel_fallbacks(rows, res):
+    """Lloyd steps whose bounded attempt was overruled by the full kernel: one
+    call per step, plus one for each such step and one for the anchor pass."""
+    return len(rows) - (len(res.objective_trace) + 1) - 1
+
+
+def _blob_pool(rng, n, d, blobs):
+    centers = rng.standard_normal((blobs, d)) * 4.0
+    return centers[rng.integers(0, blobs, n)] + rng.standard_normal((n, d)), rng.random(n) + 0.05
+
+
+@pytest.mark.parametrize("d", [1, 12, 64])
+@pytest.mark.parametrize("k", [2, 50])
+def test_kmeans_bounded_path_bit_identical_on_large_pools(monkeypatch, d, k):
+    n = 5000
+    # k = 2 sits below the module's n·k constant; lower it so the bounds run here too
+    bound = min(selectors.KMEANS_BOUNDS_MIN_NK, n * k)
+    monkeypatch.setattr(selectors, "KMEANS_BOUNDS_MIN_NK", bound)
+    points, w = _blob_pool(np.random.default_rng([d, k]), n, d, 8)
+    _assert_kmeans_matches_oracle(points, w, k, d + k)
+
+
+def test_kmeans_bounds_skip_most_rows_at_module_constant(monkeypatch):
+    n, k = 5000, 50
+    assert n * k >= selectors.KMEANS_BOUNDS_MIN_NK
+    rows = _count_kernel_rows(monkeypatch, k)
+    points, w = _blob_pool(np.random.default_rng(12), n, 12, k)
+    res = weighted_kmeans(points, w, k, seed=1)
+    iterations = len(res.objective_trace) + 1
+    assert iterations > 5
+    assert sum(rows) < 0.75 * n * iterations
+
+
+def test_kmeans_bounds_near_tie_falls_back_to_full_kernel(monkeypatch):
+    monkeypatch.setattr(selectors, "KMEANS_BOUNDS_MIN_NK", 0)
+    # a 5 x 5 integer grid: some points are exactly equidistant from two centroids
+    points = np.random.default_rng(149).integers(0, 5, size=(400, 2)).astype(np.float64)
+    w = np.ones(400)
+    _assert_kmeans_matches_oracle(points, w, 7, 149)
+    rows = _count_kernel_rows(monkeypatch, 7)
+    assert _full_kernel_fallbacks(rows, weighted_kmeans(points, w, 7, 149)) >= 1
+
+
+def test_kmeans_bounds_cluster_emptied_after_first_step(monkeypatch):
+    monkeypatch.setattr(selectors, "KMEANS_BOUNDS_MIN_NK", 0)
+    # cluster B's seed and its two heavy members each end up nearer another
+    # centroid after one means step; a far group keeps most rows skipped
+    cross = np.array([[-2.5, 0], [-1.8, 0], [-1, 0], [0, 0.9], [1, 0], [1.8, 0], [2.5, 0],
+                      [0, 2.5], [0, 1.75]])
+    far = 50.0 + np.arange(24)[:, None] * np.array([[0.1, -0.1]]) / 24
+    points = np.vstack([cross, far])
+    w = np.concatenate([np.where(np.isin(np.arange(9), [0, 3, 6, 7]), 0.2, 1.0), np.ones(24)])
+    k, seed = 5, 2448
+    _, centroids, *_ = oracle_weighted_kmeans(points, w, k, seed, max_iter=1)
+    second_step = _oracle_sq_dists(points, centroids).argmin(axis=1)
+    assert np.bincount(second_step, minlength=k).min() == 0
+    _assert_kmeans_matches_oracle(points, w, k, seed)
+
+
+def test_kmeans_bounds_clamp_lower_bound_driven_below_zero(monkeypatch):
+    monkeypatch.setattr(selectors, "KMEANS_BOUNDS_MIN_NK", 0)
+    rng = np.random.default_rng([0, 3])
+    centers = rng.standard_normal((8, 2)) * 10
+    points = centers[rng.integers(0, 8, 200)] + rng.standard_normal((200, 2))
+    w = rng.random(200) + 0.01
+    k, seed = 9, 3
+    # after the first means step some point's nearest other seed is closer
+    # than the largest drift among the other centres
+    seeds = points[_oracle_kmeanspp_seed(points, w, k, np.random.default_rng(seed))]
+    assign, centroids, *_ = oracle_weighted_kmeans(points, w, k, seed, max_iter=1)
+    d2 = _oracle_sq_dists(points, seeds)
+    d2[np.arange(200), assign] = np.inf
+    drift = np.sqrt(((centroids - seeds) ** 2).sum(axis=1))
+    other = np.array([np.delete(drift, a).max() for a in assign])
+    assert (np.sqrt(d2.min(axis=1)) - other < 0).any()
+    _assert_kmeans_matches_oracle(points, w, k, seed)
+
+
+def test_kmeans_bounds_bit_identical_on_oracle_pools(monkeypatch):
+    monkeypatch.setattr(selectors, "KMEANS_BOUNDS_MIN_NK", 0)
+    rng = np.random.default_rng(91)
+    for seed, (points, w, k) in enumerate(_oracle_pools(rng, 360)):
+        _assert_kmeans_matches_oracle(points, w, k, seed)
 
 
 # ------------------------------------------------- random balanced draws
