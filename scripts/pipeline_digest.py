@@ -24,6 +24,13 @@ one anchor_points select at n=60 and one anchor_points evaluate at sizes 50,60
 (3 folds x 1 repeat). Its K-Means calls have n·k of at least 200,000, so they
 take the bounded Lloyd steps of ``selectors.weighted_kmeans`` that the small
 pool never reaches.
+
+A third synth pool of 6 models x 3 tasks x 6 items has its CSV inputs
+rewritten with LF line ends and space-padded cells, and in the scores and
+semantic files one quoted cell, before ingest, a combined_anchor select at
+n=6 and a lomo regress. Synth writes CRLF and no quotes, so this pool keeps
+the ``csv.reader`` path of the chunked CSV reader, and LF text on its split
+path, under the digest.
 """
 
 from __future__ import annotations
@@ -90,6 +97,37 @@ def run_large_pool(cli_main, root: Path) -> None:
          "--out", root / "large" / "evaluate")
 
 
+def _rewrite_csv(text: str, quote: bool) -> str:
+    """The CSV with LF line ends and space-padded cells; with ``quote``, the
+    first cell of the second data row is quoted, padded inside the quotes."""
+    lines = []
+    for lineno, line in enumerate(text.splitlines()):
+        cells = [f" {c}  " for c in line.split(",")]
+        if quote and lineno == 2:
+            cells[0] = f'"  {cells[0].strip()} "'
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def run_rewritten_pool(cli_main, root: Path) -> None:
+    data, bundle = root / "rewritten" / "data", root / "rewritten" / "bundle"
+    _run(cli_main, "synth", "--models", 6, "--tasks", 3, "--items-per-task", 6,
+         "--embedding-dim", 8, "--rated-models", 6, "--seed", SEED, "--out", data)
+    for name in ("items", "scores", "ratings", "semantic", "acoustic"):
+        path = data / f"{name}.csv"
+        text = path.read_text(encoding="utf-8")
+        path.write_bytes(_rewrite_csv(text, name in ("scores", "semantic")).encode())
+    _run(cli_main, "ingest", "--items", data / "items.csv", "--scores", data / "scores.csv",
+         "--norm-config", data / "norm_config.json", "--out", bundle)
+    select = root / "rewritten" / "select"
+    _run(cli_main, "select", "--bundle", bundle, "--method", "combined_anchor", "--n", 6,
+         "--seed", SEED, "--semantic", data / "semantic.csv", "--acoustic", data / "acoustic.csv",
+         "--out", select)
+    _run(cli_main, "regress", "--bundle", bundle, "--subset", select / "subset.json",
+         "--ratings", data / "ratings.csv", "--protocol", "lomo", "--out",
+         root / "rewritten" / "regress")
+
+
 def main() -> None:
     checkout = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(checkout.resolve() / "src"))
@@ -99,6 +137,7 @@ def main() -> None:
         root = Path(tmp)
         run_pipeline(cli_main, METHODS, root)
         run_large_pool(cli_main, root)
+        run_rewritten_pool(cli_main, root)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(root).as_posix()}")

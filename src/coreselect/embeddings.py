@@ -9,12 +9,13 @@ the irt module, and the combined concatenation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .pool import ScoreMatrix, _read_csv_rows
+from .pool import ScoreMatrix, _read_csv_cells
 
 EMBEDDING_KINDS = ("performance", "semantic", "acoustic", "irt", "combined")
 
@@ -138,18 +139,48 @@ def assemble_combined(
 def load_embedding_csv(path: str | Path, matrix: ScoreMatrix, kind: str) -> EmbeddingSet:
     """Read ``item_id,v0,v1,...`` rows and align them to the pool item order."""
     path = Path(path)
-    rows: dict[str, np.ndarray] = {}
-    for item_id, *values in _read_csv_rows(path, ["item_id", "..."]):
-        if item_id in rows:
-            raise ValidationError(f"{path}: duplicate embedding for {item_id!r}")
+    seen: set[str] = set()  # every item id read so far
+    vectors = np.empty((matrix.n_items, 0))
+    for width, cells in _read_csv_cells(path, ["item_id", "..."]):
+        ids = cells[::width]
+        n = len(ids)
+        chunk_ids = dict.fromkeys(ids)
         try:
-            rows[item_id] = np.asarray([float(c) for c in values])
+            if len(chunk_ids) < n or not seen.isdisjoint(chunk_ids):
+                raise ValueError
+            cells[::width] = repeat("0", n)  # parse the id column as zeros, then drop it
+            block = np.fromiter(map(float, cells), np.float64, n * width).reshape(n, width)
+        except ValueError:
+            _raise_first_row_error(path, seen, ids, cells, width)
+        seen.update(chunk_ids)
+        if vectors.shape[1] != width - 1:  # the first chunk
+            vectors = np.empty((matrix.n_items, width - 1))
+        rows = np.fromiter(map(matrix._item_pos.get, ids, repeat(-1)), np.intp, n)
+        known = rows >= 0
+        vectors[rows[known]] = block[known, 1:]
+    missing = [item_id for item_id in matrix.item_ids if item_id not in seen]
+    if missing:
+        raise ValidationError(f"{path}: missing embedding for item {missing[0]!r}")
+    if len(seen) > matrix.n_items:
+        unknown = sorted(seen.difference(matrix.item_ids))
+        raise ValidationError(f"{path}: embeddings for unknown items {unknown[:5]}")
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"{path}: non-finite embedding values for item "
+                              f"{matrix.item_ids[np.argmin(finite)]!r}")
+    return EmbeddingSet(kind, matrix.item_ids, vectors)
+
+
+def _raise_first_row_error(path: Path, seen: set[str], ids: list[str], cells: list[str],
+                           width: int) -> None:
+    """Raise the error of the first row of a chunk, in file order, that repeats
+    an item id or holds a value ``float`` rejects."""
+    seen = set(seen)
+    for k, item_id in enumerate(ids):
+        if item_id in seen:
+            raise ValidationError(f"{path}: duplicate embedding for {item_id!r}")
+        seen.add(item_id)
+        try:
+            [float(c) for c in cells[k * width + 1:(k + 1) * width]]
         except ValueError as exc:
             raise ValidationError(f"{path}: non-numeric value for {item_id!r} ({exc})") from None
-    try:
-        vectors = np.asarray([rows.pop(item_id) for item_id in matrix.item_ids])
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing embedding for item {exc.args[0]!r}") from None
-    if rows:
-        raise ValidationError(f"{path}: embeddings for unknown items {sorted(rows)[:5]}")
-    return EmbeddingSet(kind, matrix.item_ids, vectors)

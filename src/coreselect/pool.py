@@ -12,10 +12,14 @@ File formats accepted here (and emitted by the synth module):
 * item embeddings: CSV ``item_id,v0,v1,...``, one row per pool item (read by
   ``embeddings.load_embedding_csv``).
 
-Every CSV input is read as UTF-8 by ``_read_csv_rows``: the first row is the
+Every CSV input is read as UTF-8 by ``_read_csv_cells``: the first row is the
 header, blank rows are skipped, cells are stripped of surrounding whitespace,
 and every other row has as many fields as the header. Every input error names
-its file.
+its file. The reader streams each file in chunks of about ``CSV_CHUNK_CELLS``
+cells. A chunk with no ``"``, no NUL and no CR outside a CRLF is split on line
+ends and commas, which gives the cells ``csv.reader`` would; any other chunk
+goes through ``csv.reader``. The score and ratings grids are built from whole
+columns, and an input error is the first one a row-by-row pass would meet.
 
 The resulting ScoreMatrix is dense (a missing cell is a hard error) and
 immutable; it is safe to share read-only across workers.
@@ -27,6 +31,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -40,6 +45,9 @@ NORMALIZATION_KINDS = {
     "one_minus_capped_error": ("cap",),
     "affine_unit": ("lo", "hi"),
 }
+
+# cells per chunk of a CSV input: bounds the cells held as Python strings at once
+CSV_CHUNK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,34 @@ def rescale_rating(likert: float) -> float:
     if not (1.0 <= likert <= 6.0):
         raise ValidationError(f"rating {likert!r} outside the 1-6 scale")
     return (likert - 1.0) / 5.0
+
+
+def _normalize_cells(raw: np.ndarray, rule: NormalizationRule) -> np.ndarray:
+    """``normalize`` over an array with the same elementwise operations, so each
+    accepted value keeps its bits; NaN marks a value ``normalize`` rejects."""
+    ok = np.isfinite(raw)
+    if rule.kind == "identity":
+        ok &= (raw >= 0.0) & (raw <= 1.0)
+        out = raw.copy()
+    elif rule.kind == "one_minus_capped_error":
+        ok &= raw >= 0.0
+        with np.errstate(over="ignore"):  # only rejected values overflow
+            out = 1.0 - np.minimum(raw, rule.cap) / rule.cap
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently
+            scaled = (raw - rule.lo) / (rule.hi - rule.lo)
+        # Python's max(0.0, x) keeps 0.0 unless x > 0.0, where np.maximum(0.0, -0.0) is -0.0
+        clamped = np.where(scaled > 0.0, scaled, 0.0)
+        out = np.where(clamped < 1.0, clamped, 1.0)
+    out[~ok] = np.nan
+    return out
+
+
+def _rescale_cells(likert: np.ndarray) -> np.ndarray:
+    """``rescale_rating`` over an array; NaN marks a rating it rejects."""
+    out = (likert - 1.0) / 5.0
+    out[~((likert >= 1.0) & (likert <= 6.0))] = np.nan
+    return out
 
 
 @dataclass
@@ -251,7 +287,10 @@ class ScoreMatrix:
             )
             for d in data["items"]
         )
-        return cls(tuple(data["model_ids"]), items, np.asarray(data["values"]))
+        values = np.asarray(data["values"])
+        if values.dtype.kind not in "fiu":  # JSON strings, booleans and mixtures
+            raise ValidationError(f"values must be numbers, got {values.dtype.name} entries")
+        return cls(tuple(data["model_ids"]), items, values)
 
 
 @dataclass
@@ -298,15 +337,24 @@ def read_json(path: str | Path, parse=dict):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _read_csv_rows(path: Path, header: list[str]) -> Iterator[list[str]]:
+def _read_csv_cells(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield the data rows of a CSV input read by the rules in the module
-    docstring. A last ``header`` entry ``"..."`` stands for one or more further
-    columns."""
+    docstring, in chunks of ``CSV_CHUNK_CELLS // width`` rows, and at least
+    one, where ``width`` is the header's field count. A chunk is
+    ``(width, cells)``: the stripped cells of its rows, row after row, ``width``
+    to a row. A last ``header`` entry ``"..."`` stands for one or more further
+    columns.
+
+    A chunk whose text has no ``"`` or NUL and no ``\\r`` outside a ``\\r\\n``
+    is split on line ends and commas, which gives the rows ``csv.reader`` would;
+    any other chunk goes through ``csv.reader``. Line numbers count records, as
+    ``csv.reader`` does. The rows before a row with the wrong field count, or
+    before text that is not UTF-8, are yielded before its error is raised, so a
+    consumer that checks rows in order meets the same first error."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
             try:
-                found = [h.strip() for h in next(reader)]
+                found = [h.strip() for h in next(csv.reader(fh))]
             except StopIteration:
                 raise ValidationError(f"{path}: empty file") from None
             if header[-1] == "...":
@@ -317,64 +365,150 @@ def _read_csv_rows(path: Path, header: list[str]) -> Iterator[list[str]]:
                 raise ValidationError(
                     f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}"
                 )
-            for lineno, row in enumerate(reader, start=2):
-                cells = [c.strip() for c in row]
-                if not any(cells):
-                    continue
-                if len(cells) != len(found):
-                    raise ValidationError(f"{path}:{lineno}: expected {len(found)} fields")
-                yield cells
-    except (OSError, UnicodeDecodeError) as exc:
+            width, lineno, fault = len(found), 2, None
+            chunk_rows = max(1, CSV_CHUNK_CELLS // width)
+            while fault is None:
+                lines: list[str] = []
+                try:
+                    lines.extend(islice(fh, chunk_rows))  # keeps the lines read before a fault
+                except UnicodeDecodeError as exc:
+                    fault = exc
+                if not lines:
+                    break
+                text = "".join(lines)
+                # the file's lines end at any CR, so only a line end can hold a lone CR
+                if '"' in text or "\0" in text or any(map(str.endswith, lines, repeat("\r"))):
+                    # a quoted cell may run on past the chunk
+                    records = csv.reader(chain(lines, fh))
+                    rows = []
+                    while records.line_num < len(lines):
+                        rows.append(next(records))
+                else:
+                    if set(map(str.count, lines, repeat(","))) == {width - 1}:
+                        cells = list(map(str.strip, text.replace("\n", ",").split(",")))
+                        del cells[len(lines) * width:]  # the empty cell after a last line end
+                        if "" not in cells[::width]:  # a blank row has an empty first cell
+                            lineno += len(lines)
+                            yield width, cells
+                            continue
+                    rows = [line.split(",") for line in lines]
+                kept = []
+                for row in rows:
+                    cells = [c.strip() for c in row]
+                    if any(cells):
+                        if len(cells) != width:
+                            if kept:
+                                yield width, list(chain.from_iterable(kept))
+                            raise ValidationError(f"{path}:{lineno}: expected {width} fields")
+                        kept.append(cells)
+                    lineno += 1
+                if kept:
+                    yield width, list(chain.from_iterable(kept))
+            if fault is not None:
+                raise fault
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv: a cell over its size limit
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def _long_form_grid(
     path: Path,
     header: list[str],
-    rows: list[list[str]],
-    row_keys: Sequence[str],
-    col_keys: Sequence[str],
-    convert: Callable[[float, int, int], float],
+    col_keys: Sequence[str] | None,
+    convert: Callable[[float, str, int], float],
+    convert_cells: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cell_words: tuple[str, str],
-) -> np.ndarray:
-    """Dense grid from long-form ``row key, column key, value`` rows read under
-    ``header``; ``row_keys`` holds every row key. Each value goes through one
-    ``float`` and then ``convert(value, i, j)`` for its cell. An empty row or
-    column key, an unknown column key, a bad value, a duplicate cell, missing
-    cells and a ``convert`` error name the file; ``cell_words`` is the
-    (singular, plural) word for a cell."""
-    row_pos = {key: i for i, key in enumerate(row_keys)}
-    col_pos = {key: j for j, key in enumerate(col_keys)}
-    grid = np.empty((len(row_keys), len(col_keys)))
-    filled = np.zeros(grid.shape, dtype=bool)
-    for row_key, col_key, text in rows:
-        if not row_key:
-            raise ValidationError(f"{path}: empty {header[0]}")
-        if not col_key:
-            raise ValidationError(f"{path}: empty {header[1]}")
-        j = col_pos.get(col_key)
-        if j is None:
-            raise ValidationError(f"{path}: unknown {header[1].replace('_', ' ')} {col_key!r}")
-        i = row_pos[row_key]
+    sort_rows: bool = False,
+) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Dense grid from the long-form ``row key, column key, value`` rows of the
+    CSV at ``path``, read under ``header``; returns the row keys, the column
+    keys and the grid. Row keys are the file's, sorted when ``sort_rows`` and
+    in first-seen order otherwise. Column keys are ``col_keys``, or the file's
+    in first-seen order when that is None.
+
+    Each value goes through one ``float`` and then the rule of its cell:
+    ``convert(value, row_key, j)`` for one value, ``convert_cells(values, j)``
+    for many at once with the same elementwise operations and NaN for a value
+    ``convert`` rejects. An empty row or column key, an unknown column key, a
+    bad value, a duplicate cell, missing cells and a ``convert`` error name the
+    file; the first error is the one a row-by-row pass in file order meets
+    first. ``cell_words`` is the (singular, plural) word for a cell."""
+    row_pos: dict[str, int] = {}
+    col_pos = {} if col_keys is None else {key: j for j, key in enumerate(col_keys)}
+
+    def parse(row_col, col_col, texts):
+        n = len(texts)
+        return (np.fromiter(map(row_pos.__getitem__, row_col), np.intp, n),
+                np.fromiter(map(col_pos.__getitem__, col_col), np.intp, n),
+                np.fromiter(map(float, texts), np.float64, n))
+
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    fault = None
+    for _, cells in _read_csv_cells(path, header):
+        if fault is not None:
+            continue  # read on: a field-count error further down comes first
+        row_col, col_col, texts = cells[0::3], cells[1::3], cells[2::3]
+        for key in dict.fromkeys(row_col):
+            row_pos.setdefault(key, len(row_pos))
+        if col_keys is None:
+            for key in dict.fromkeys(col_col):
+                col_pos.setdefault(key, len(col_pos))
         try:
-            value = float(text)
-        except ValueError:
+            if "" in row_col or "" in col_col:
+                raise ValueError
+            parts.append(parse(row_col, col_col, texts))
+        except (KeyError, ValueError):
+            k, fault = _first_bad_cell(header, row_col, col_col, texts, col_pos)
+            parts.append(parse(row_col[:k], col_col[:k], texts[:k]))
+    row_keys = tuple(sorted(row_pos) if sort_rows else row_pos)
+    col_keys = tuple(col_pos)
+    i, j, raw = map(np.concatenate, zip(*parts))
+    if sort_rows:
+        i = np.argsort(np.fromiter(map(row_pos.__getitem__, row_keys), np.intp))[i]
+    flat = i * len(col_keys) + j
+    counts = np.bincount(flat, minlength=len(row_keys) * len(col_keys))
+    end = dup = len(flat)  # rows before `end` pass every per-row check but the rule
+    if end and counts.max() > 1:
+        first = np.zeros(len(flat), dtype=bool)
+        first[np.unique(flat, return_index=True)[1]] = True
+        end = dup = int(np.argmin(first))
+    values = convert_cells(raw[:end], j[:end])
+    rejected = np.flatnonzero(np.isnan(values))
+    try:
+        if rejected.size:
+            k = rejected[0]
+            convert(float(raw[k]), row_keys[i[k]], int(j[k]))
+        if dup < len(flat):
             raise ValidationError(
-                f"{path}: bad {header[2]} {text!r} for ({row_key}, {col_key})"
-            ) from None
-        if filled[i, j]:
-            raise ValidationError(f"{path}: duplicate {cell_words[0]} ({row_key}, {col_key})")
-        try:
-            grid[i, j] = convert(value, i, j)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-        filled[i, j] = True
-    missing = np.argwhere(~filled)
+                f"duplicate {cell_words[0]} ({row_keys[i[dup]]}, {col_keys[j[dup]]})")
+        if fault is not None:
+            raise ValidationError(fault)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    missing = np.flatnonzero(counts == 0)
     if missing.size:
-        cells = ", ".join(f"({row_keys[i]}, {col_keys[j]})" for i, j in missing[:5])
+        width = len(col_keys)
+        cells = ", ".join(f"({row_keys[c // width]}, {col_keys[c % width]})" for c in missing[:5])
         more = "" if len(missing) <= 5 else f" and {len(missing) - 5} more"
         raise ValidationError(f"{path}: missing {cell_words[1]}: {cells}{more}")
-    return grid
+    grid = np.empty((len(row_keys), len(col_keys)))
+    grid.reshape(-1)[flat] = values
+    return row_keys, col_keys, grid
+
+
+def _first_bad_cell(header, row_col, col_col, texts, col_pos) -> tuple[int, str]:
+    """The first row of a chunk that fails a per-row check before the rule, and its error."""
+    for k, (row_key, col_key, text) in enumerate(zip(row_col, col_col, texts)):
+        if not row_key:
+            return k, f"empty {header[0]}"
+        if not col_key:
+            return k, f"empty {header[1]}"
+        if col_key not in col_pos:
+            return k, f"unknown {header[1].replace('_', ' ')} {col_key!r}"
+        try:
+            float(text)
+        except ValueError:
+            return k, f"bad {header[2]} {text!r} for ({row_key}, {col_key})"
+    raise AssertionError("no bad cell in the chunk")
 
 
 def _parse_bool01(text: str, where: str) -> bool:
@@ -390,16 +524,17 @@ def load_items_manifest(path: str | Path) -> tuple[ItemRecord, ...]:
     header = ["item_id", "task_id", "metric", "needs_audio_in", "needs_audio_out"]
     items: list[ItemRecord] = []
     seen: set[str] = set()
-    for item_id, task_id, metric, ain, aout in _read_csv_rows(path, header):
-        if item_id in seen:
-            raise ValidationError(f"{path}: duplicate item id {item_id!r}")
-        seen.add(item_id)
-        where = f"item {item_id}"
-        try:
-            items.append(ItemRecord(item_id, task_id, metric, _parse_bool01(ain, where),
-                                    _parse_bool01(aout, where)))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+    for width, cells in _read_csv_cells(path, header):
+        for item_id, task_id, metric, ain, aout in zip(*[iter(cells)] * width):
+            if item_id in seen:
+                raise ValidationError(f"{path}: duplicate item id {item_id!r}")
+            seen.add(item_id)
+            where = f"item {item_id}"
+            try:
+                items.append(ItemRecord(item_id, task_id, metric, _parse_bool01(ain, where),
+                                        _parse_bool01(aout, where)))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
     if not items:
         raise ValidationError(f"{path}: no items")
     return tuple(items)
@@ -435,22 +570,30 @@ def load_pool(
             )
 
     scores_path = Path(raw_scores)
-    header = ["model_id", "item_id", "raw_value"]
-    rows = list(_read_csv_rows(scores_path, header))
-    if not rows:
-        raise ValidationError(f"{scores_path}: no scores")
-    model_ids = tuple(sorted({row[0] for row in rows}))
     item_ids = [it.item_id for it in items]
     item_rules = [rules[it.metric_name] for it in items]
+    metrics = {m: k for k, m in enumerate(dict.fromkeys(it.metric_name for it in items))}
+    item_metric = np.fromiter((metrics[it.metric_name] for it in items), np.intp, len(items))
 
-    def score(raw: float, i: int, j: int) -> float:
+    def score(raw: float, model_id: str, j: int) -> float:
         try:
             return normalize(raw, item_rules[j])
         except ValidationError as exc:
-            raise ValidationError(f"item {item_ids[j]!r}, model {model_ids[i]!r}: {exc}") from None
+            raise ValidationError(f"item {item_ids[j]!r}, model {model_id!r}: {exc}") from None
 
-    values = _long_form_grid(scores_path, header, rows, model_ids, item_ids, score,
-                             ("cell", "score cells"))
+    def score_cells(raw: np.ndarray, j: np.ndarray) -> np.ndarray:
+        out = np.empty_like(raw)
+        cell_metric = item_metric[j]
+        for metric, m in metrics.items():
+            sel = cell_metric == m
+            out[sel] = _normalize_cells(raw[sel], rules[metric])
+        return out
+
+    model_ids, _, values = _long_form_grid(
+        scores_path, ["model_id", "item_id", "raw_value"], item_ids, score, score_cells,
+        ("cell", "score cells"), sort_rows=True)
+    if not model_ids:
+        raise ValidationError(f"{scores_path}: no scores")
     return ScoreMatrix(model_ids, items, values)
 
 
@@ -458,12 +601,10 @@ def load_ratings(path: str | Path) -> HumanRatingsTable:
     """Load ``model_id,dimension,mean_rating`` ratings, rescaling 1-6 to [0,1].
     Models and dimensions keep the order in which the file first names them."""
     path = Path(path)
-    header = ["model_id", "dimension", "mean_rating"]
-    rows = list(_read_csv_rows(path, header))
-    if not rows:
+    model_ids, dimensions, grid = _long_form_grid(
+        path, ["model_id", "dimension", "mean_rating"], None,
+        lambda rating, model_id, j: rescale_rating(rating),
+        lambda ratings, j: _rescale_cells(ratings), ("rating", "ratings"))
+    if not model_ids:
         raise ValidationError(f"{path}: no ratings")
-    model_ids = tuple(dict.fromkeys(row[0] for row in rows))
-    dimensions = tuple(dict.fromkeys(row[1] for row in rows))
-    grid = _long_form_grid(path, header, rows, model_ids, dimensions,
-                           lambda rating, i, j: rescale_rating(rating), ("rating", "ratings"))
     return HumanRatingsTable(model_ids, dimensions, grid)

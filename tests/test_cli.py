@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coreselect.cli import _load_bundle, main
+from coreselect.cli import _canonical_json, _load_bundle, _pool_json, main
 from coreselect.embeddings import load_embedding_csv
-from coreselect.pool import load_ratings
+from coreselect.pool import ItemRecord, ScoreMatrix, load_ratings
 
 
 def run_cli(*argv):
@@ -60,6 +60,20 @@ def test_ingest_missing_cell_exits_1_with_error_json(tmp_path, capsys):
     assert err["kind"] == "validation"
     assert "missing score cells" in err["error"]
     assert "(model008, i00047)" in err["error"]
+
+
+def test_pool_json_matches_canonical_json(tmp_path):
+    ids = ["plain", "caf\u00e9", 'say "hi"', "back\\slash", "tab\there", "\u2028\U0001f600"]
+    items = tuple(ItemRecord(i, f"task {i}", f"metric {i}", k % 2 == 0, k % 3 == 0)
+                  for k, i in enumerate(ids))
+    values = [[0.0, -0.0, 1.0, 0.1, 5e-324, 1 / 3], [0.5, 1e-300, 0.999999999999, 0.25, 1.0, 0.0]]
+    matrix = ScoreMatrix(("m\u00fc", 'm"2'), items, values)
+    assert _pool_json(matrix) == _canonical_json(matrix.to_json_dict())
+    one = ScoreMatrix(("m",), items[:1], [[0.7]])
+    assert _pool_json(one) == _canonical_json(one.to_json_dict())
+    bundle = ingest(tmp_path, make_pool_files(tmp_path))
+    assert (bundle / "pool.json").read_text() == _canonical_json(
+        _load_bundle(bundle).to_json_dict())
 
 
 def test_select_writes_valid_subset(tmp_path):
@@ -525,6 +539,21 @@ def _drop_items(path):
     return path
 
 
+def _pool_values(path, values):
+    data = json.loads(path.read_text())
+    data["values"] = values(data["values"])
+    path.write_text(json.dumps(data))
+    return path
+
+
+# pool.json values that are not numbers; a true among floats is still read as 1.0
+_BAD_POOL_VALUES = {
+    "pool_string_value": lambda v: [[str(v[0][0]), *v[0][1:]], *v[1:]],
+    "pool_boolean_values": lambda v: [[x > 0.5 for x in row] for row in v],
+    "pool_null_value": lambda v: [[None, *v[0][1:]], *v[1:]],
+}
+
+
 def _nan_weight(path):
     data = json.loads(path.read_text())
     data["items"][0]["weight"] = float("nan")  # json writes the bare token NaN
@@ -542,7 +571,7 @@ _BAD_RIDGE = {
 @pytest.mark.parametrize("case", [
     "regress_subset_without_items", "export_subset_without_items",
     "pool_without_items", "regression_not_json", "no_methods", "subset_nan_weight",
-    *_BAD_RIDGE,
+    *_BAD_RIDGE, *_BAD_POOL_VALUES,
 ])
 def test_malformed_json_inputs_exit_1(tmp_path, capsys, case):
     data = make_pool_files(tmp_path, rated_models=7)
@@ -559,6 +588,10 @@ def test_malformed_json_inputs_exit_1(tmp_path, capsys, case):
         argv = ["export", "--subset", _drop_items(subset)]
     elif case == "pool_without_items":
         _drop_items(bundle / "pool.json")
+        argv = ["select", "--bundle", bundle, "--method", "random_balanced",
+                "--n", 10, "--seed", 2]
+    elif case in _BAD_POOL_VALUES:
+        _pool_values(bundle / "pool.json", _BAD_POOL_VALUES[case])
         argv = ["select", "--bundle", bundle, "--method", "random_balanced",
                 "--n", 10, "--seed", 2]
     elif case == "regression_not_json":
@@ -580,7 +613,10 @@ def test_malformed_json_inputs_exit_1(tmp_path, capsys, case):
         argv = ["evaluate", "--bundle", bundle, "--methods", " , ", "--sizes", "4,8",
                 "--folds", 2, "--repeats", 1, "--seed", 5]
     assert run_cli(*argv, "--out", tmp_path / "out") == 1
-    assert json.loads(capsys.readouterr().err.strip())["kind"] == "validation"
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    if case in _BAD_POOL_VALUES:
+        assert f"{bundle / 'pool.json'}: values must be numbers" in err["error"]
     assert not (tmp_path / "out").exists()
 
 
@@ -669,6 +705,10 @@ def _blank_first_dimension(text):
     ("semantic", lambda t: t + t.splitlines()[1] + "\n", "duplicate embedding"),
     ("semantic", lambda t: _edit_row(t, 1, lambda c: [c[0], "x", *c[2:]]), "non-numeric"),
     ("semantic", lambda t: _append_row(t, ["nope"] + ["1"] * 6), "unknown items"),
+    ("semantic", lambda t: _edit_row(t, 2, lambda c: [c[0], "nan", *c[2:]]),
+     "non-finite embedding values for item 'i"),
+    ("acoustic", lambda t: _edit_row(t, 1, lambda c: [*c[:-1], "-inf"]),
+     "non-finite embedding values for item 'i"),
     ("items", lambda t: "", "empty file"),
     ("items", lambda t: _edit_row(t, 0, lambda c: ["id", *c[1:]]), "expected header"),
     ("items", lambda t: _edit_row(t, 1, lambda c: c[:-1]), "expected 5 fields"),
@@ -692,14 +732,18 @@ def _blank_first_dimension(text):
     ("ratings", _blank_first_model, "empty model_id"),
     ("ratings", _blank_first_dimension, "empty dimension"),
     ("scores", lambda t: _edit_row(t, 1, lambda c: [c[0], "", c[2]]), "empty item_id"),
+    ("scores", lambda t: _edit_row(t, 1, lambda c: [*c[:2], f'"{"0" * 200_000}"']),
+     "field larger than field limit"),
 ], ids=[
     "embedding_empty", "embedding_header", "embedding_fields", "embedding_duplicate",
-    "embedding_non_numeric", "embedding_unknown_item", "items_empty", "items_header",
+    "embedding_non_numeric", "embedding_unknown_item", "embedding_nan", "acoustic_inf",
+    "items_empty", "items_header",
     "items_fields", "items_bad_flag", "items_duplicate", "items_none", "scores_unknown_item",
     "scores_bad_value", "scores_none", "ratings_duplicate", "ratings_bad_value",
     "ratings_none", "norm_invalid_json", "norm_not_object", "items_empty_id",
     "scores_out_of_range", "scores_missing_cell", "ratings_off_scale", "norm_missing_metric",
     "scores_empty_model", "ratings_empty_model", "ratings_empty_dimension", "scores_empty_item",
+    "scores_quoted_cell_over_csv_limit",
 ])
 def test_malformed_input_file_exits_1(tmp_path, capsys, valid_inputs, flag, corrupt, fragment):
     path = tmp_path / _FILE_INPUTS[flag]

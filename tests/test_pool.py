@@ -8,6 +8,8 @@ import pytest
 from coreselect.errors import ValidationError
 from coreselect.pool import (
     NormalizationRule,
+    _normalize_cells,
+    _rescale_cells,
     load_pool,
     load_ratings,
     normalize,
@@ -77,6 +79,45 @@ def test_normalize_monotonicity_property(rng):
     affine_out = [normalize(float(r), affine) for r in raws]
     assert all(b <= a + 1e-15 for a, b in zip(capped_out, capped_out[1:]))
     assert all(b >= a - 1e-15 for a, b in zip(affine_out, affine_out[1:]))
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 0.25, 0.5, 0.7, 1.0, 1.0 + 2**-52, 1.5, 2.0, 3.0, 5.0, 6.0,
+                6.5, 10.0, 11.0, -0.1, -2.0, -3.0, 1e300, -1e300, 1.7e308, -1.7e308,
+                float("nan"), float("inf"), float("-inf")]
+
+
+def _cellwise(scalar, values):
+    """The scalar rule at each value, NaN where it raises."""
+    out = []
+    for v in values:
+        try:
+            out.append(scalar(v))
+        except ValidationError:
+            out.append(float("nan"))
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("rule", [
+    NormalizationRule.identity(),
+    NormalizationRule.one_minus_capped_error(0.5),
+    NormalizationRule.one_minus_capped_error(3.0),
+    NormalizationRule.affine_unit(0.0, 1.0),
+    NormalizationRule.affine_unit(0.0, 10.0),
+    NormalizationRule.affine_unit(-2.0, 3.0),
+    NormalizationRule.affine_unit(-1.7e308, 1.7e308),  # hi - lo overflows: 0/0 cases
+], ids=["identity", "cap_half", "cap_3", "unit", "judge", "shifted", "overflowing"])
+def test_normalize_cells_bit_identical_to_normalize(rule):
+    raw = np.asarray(_EDGE_VALUES)
+    want = _cellwise(lambda v: normalize(v, rule), _EDGE_VALUES)
+    got = _normalize_cells(raw, rule)
+    assert got.tobytes() == want.tobytes()
+    if rule.kind == "affine_unit" and rule.lo == 0.0:  # max(0.0, -0.0) is 0.0, not -0.0
+        assert np.signbit(want[1]) == np.signbit(got[1]) == False  # noqa: E712
+
+
+def test_rescale_cells_bit_identical_to_rescale_rating():
+    got = _rescale_cells(np.asarray(_EDGE_VALUES))
+    assert got.tobytes() == _cellwise(rescale_rating, _EDGE_VALUES).tobytes()
 
 
 def test_rescale_rating_endpoints_and_midpoint():
