@@ -14,8 +14,12 @@ The optional argument is the root of the checkout whose ``src/`` is imported
 
 The run: a synth pool of 18 models x 8 tasks x 25 items with 24-wide
 semantic and acoustic embeddings and ratings for 7 models; ingest; select of
-every method at n=20; evaluate of every method at sizes 10,20,50,200 (3 folds
-x 2 repeats, 20 search draws), once with --jobs 1 and once with --jobs 2;
+every method at n=20 (20 search draws); random_search_learn selects at n=20,
+50 and 200 with the default 1,000 search draws, whose candidates are scored
+in stacks of 13 with a last one of 12, stacks of 6 with a last one of 4, and
+one at a time (see ``selectors._SEARCH_BATCH_ELEMENTS``); evaluate of
+every method at sizes 10,20,50,200 (3 folds x 2 repeats, 20 search draws),
+once with --jobs 1 and once with --jobs 2;
 regress with lomo and pairwise52 on every rated dimension for every subset;
 export of every subset with its lomo regressors.
 
@@ -65,6 +69,9 @@ def run_pipeline(cli_main, methods, root: Path) -> None:
     for method in methods:
         _run(cli_main, "select", "--bundle", bundle, "--method", method, "--n", 20,
              "--seed", SEED, "--n-search", 20, *embeddings, "--out", root / "select" / method)
+    for n in (20, 50, 200):  # the default --n-search of 1,000
+        _run(cli_main, "select", "--bundle", bundle, "--method", "random_search_learn",
+             "--n", n, "--seed", SEED, "--out", root / "select_search_default" / f"n{n}")
     for jobs in (1, 2):
         _run(cli_main, "evaluate", "--bundle", bundle, "--methods", ",".join(methods),
              "--sizes", "10,20,50,200", "--folds", 3, "--repeats", 2, "--n-search", 20,

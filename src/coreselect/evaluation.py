@@ -235,8 +235,11 @@ def crossval_curve(
         raise ValidationError(f"unknown correlation metric {metric!r}")
     if folds < 2:
         raise ValidationError("need at least 2 folds")
-    if matrix.n_models < folds:
-        raise ValidationError(f"{folds} folds need at least {folds} models")
+    if matrix.n_models < 2 * folds:  # every held-out fold needs 2 models to correlate
+        raise ValidationError(
+            f"{folds} folds need at least {2 * folds} models (2 held out per fold), "
+            f"got {matrix.n_models}"
+        )
     sizes = sorted(set(int(s) for s in sizes))
     if not sizes:
         raise ValidationError("no subset sizes given")

@@ -3,6 +3,7 @@ leave-one-model-out and exhaustive 5-2 pairwise preference protocols."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,6 +66,46 @@ class RidgeModel:
         )
 
 
+def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
+        raise ValidationError("ridge_fit expects X (m x n) and y (m)")
+    if x.shape[0] < 1:
+        raise ValidationError("ridge_fit needs at least one row")
+    return x, y
+
+
+def _check_lambda(lam: float, what: str) -> float:
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValidationError(f"{what} must be finite and > 0, got {lam}")
+    return float(lam)
+
+
+def _ridge_solve(x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (B, n) and intercepts (B,) of the Ridge fit of each slice:
+    x (B, m, n), y (B, m), lam (B,). Solved exactly on centered data, so
+    X'(y - Xw - b) = lam * w and the residuals sum to zero.
+
+    Only stacked matmul and np.linalg forms are used, which give each slice
+    the bits of the same call on that slice alone. lam is added on the
+    Gram's diagonal in place, so the stack holds one (B, n, n) array; that
+    equals adding lam * I, whose +0.0 off the diagonal changes no entry (the
+    Gram's sums start from +0.0, so it holds no -0.0).
+    """
+    x_mean = x.mean(axis=1)
+    y_mean = y.mean(axis=1)
+    xc = x - x_mean[:, None, :]
+    yc = y - y_mean[:, None]
+    xct = np.swapaxes(xc, 1, 2)
+    gram = xct @ xc
+    n = x.shape[2]
+    gram.reshape(-1, n * n)[:, :: n + 1] += lam[:, None]
+    w = np.linalg.solve(gram, xct @ yc[:, :, None])[:, :, 0]
+    b = y_mean - (x_mean[:, None, :] @ w[:, :, None])[:, 0, 0]
+    return w, b
+
+
 def ridge_fit(
     x: np.ndarray,
     y: np.ndarray,
@@ -73,56 +114,92 @@ def ridge_fit(
 ) -> RidgeModel:
     """Minimize sum (y - Xw - b)^2 + lam * |w|^2 with the intercept free.
 
-    Solved exactly on centered data, so X'(y - Xw - b) = lam * w and the
-    residuals sum to zero. lam must be finite and > 0, as in ridge_cv's grid.
+    Solved exactly on centered data (_ridge_solve on one slice). lam must be
+    finite and > 0, as in ridge_cv's grid.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
-        raise ValidationError("ridge_fit expects X (m x n) and y (m)")
-    if x.shape[0] < 1:
-        raise ValidationError("ridge_fit needs at least one row")
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValidationError(f"ridge penalty must be finite and > 0, got {lam}")
+    x, y = _check_xy(x, y)
+    lam = _check_lambda(lam, "ridge penalty")
+    w, b = _ridge_solve(x[None], y[None], np.array([lam]))
+    return RidgeModel(w[0], float(b[0]), lam, tuple(item_ids) if item_ids else None)
 
-    x_mean = x.mean(axis=0)
-    y_mean = float(y.mean())
-    xc = x - x_mean
-    yc = y - y_mean
-    gram = xc.T @ xc + lam * np.eye(x.shape[1])
-    w = np.linalg.solve(gram, xc.T @ yc)
-    b = y_mean - float(x_mean @ w)
-    return RidgeModel(w, b, float(lam), tuple(item_ids) if item_ids else None)
+
+@functools.lru_cache(maxsize=64)
+def _intercept_basis(m: int) -> np.ndarray:
+    """Read-only orthonormal basis (m, m - 1) of the complement of the
+    intercept direction 1: the last m - 1 columns of its complete QR."""
+    q = np.linalg.qr(np.ones((m, 1)), mode="complete")[0][:, 1:]
+    q.flags.writeable = False
+    return q
 
 
 def _cv_errors(x: np.ndarray, y: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray:
-    """Mean over the stripe folds of each fold's held-out MSE, for every lambda.
+    """Mean over the stripe folds of each fold's held-out MSE, for every
+    lambda and every slice: x (B, m, n), y (B, m) -> (B, lambdas).
 
-    One m x m kernel eigendecomposition serves the whole grid. With Q an
-    orthonormal basis of the complement of the intercept direction 1,
+    One m x m kernel eigendecomposition per slice serves the whole grid. With
+    Q an orthonormal basis of the complement of the intercept direction 1,
     Z = Q'X and eigh(ZZ') = V diag(s) V', W = QV gives
     I - H = W diag(lam / (s + lam)) W' (ESL 3.4.1). The residuals of the fit
     without fold F are (I - H)_FF^-1 e_F with e = (I - H) y (ESL 7.10).
     Projecting through Q, rather than subtracting 11'/m from H, keeps the
-    residual operator accurate to rounding when lam << s.
+    residual operator accurate to rounding when lam << s. Q and the fold
+    index blocks depend only on m and folds, so one call builds them for
+    the whole stack.
     """
-    m = x.shape[0]
-    q = np.linalg.qr(np.ones((m, 1)), mode="complete")[0][:, 1:]
+    m = x.shape[1]
+    q = _intercept_basis(m)
     z = q.T @ x
-    s, v = np.linalg.eigh(z @ z.T)
+    s, v = np.linalg.eigh(z @ np.swapaxes(z, 1, 2))
     w = q @ v
-    shrink = grid[:, None] / (np.maximum(s, 0.0) + grid[:, None])
-    resid_op = (w * shrink[:, None, :]) @ w.T  # (lambdas, m, m): I - H
-    e = resid_op @ y
+    shrink = grid[:, None] / (np.maximum(s, 0.0)[:, None, :] + grid[:, None])
+    # (B, lambdas, m, m): I - H
+    resid_op = (w[:, None] * shrink[:, :, None, :]) @ np.swapaxes(w, 1, 2)[:, None]
+    e = (resid_op @ y[:, None, :, None])[..., 0]
     fold_rows = [np.arange(f, m, folds) for f in range(folds)]
-    fold_mse = np.empty((grid.size, folds))
+    fold_mse = np.empty((x.shape[0], grid.size, folds))
     for size in {rows.size for rows in fold_rows}:  # folds differ in size by <= 1
         group = [f for f in range(folds) if fold_rows[f].size == size]
         held = np.array([fold_rows[f] for f in group])
-        block = resid_op[:, held[:, :, None], held[:, None, :]]
-        r = np.linalg.solve(block, e[:, held, None])[..., 0]
-        fold_mse[:, group] = np.mean(r**2, axis=2)
-    return fold_mse.mean(axis=1)
+        block = resid_op[:, :, held[:, :, None], held[:, None, :]]
+        r = np.linalg.solve(block, e[:, :, held, None])[..., 0]
+        fold_mse[:, :, group] = np.mean(r**2, axis=3)
+    return fold_mse.mean(axis=2)
+
+
+def _lambda_grid(grid: Sequence[float]) -> np.ndarray:
+    """The grid sorted ascending, every value checked finite and > 0."""
+    grid = sorted(float(g) for g in grid)
+    if not grid:
+        raise ValidationError("empty lambda grid")
+    for lam in grid:
+        _check_lambda(lam, "lambda grid values")
+    return np.asarray(grid)
+
+
+def _ridge_cv_stack(
+    x: np.ndarray, y: np.ndarray, grid: np.ndarray, folds: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ridge_cv on every slice of x (B, m, n), y (B, m) with the sorted grid
+    from _lambda_grid: the picked lambdas (B,), weights (B, n) and
+    intercepts (B,). A one-value grid skips CV. The first slice whose CV
+    errors or fit are not finite raises, as its own ridge_cv call would."""
+    if grid.size == 1:
+        pick = np.zeros(x.shape[0], dtype=np.intp)
+    else:
+        errs = _cv_errors(x, y, grid, folds)
+        y_term = 1e-24 * np.mean(y**2, axis=1, keepdims=True)
+        tol = errs.min(axis=1, keepdims=True) * (1.0 + 1e-10) + y_term
+        # the largest passing lambda; -1 when none passes, which takes a NaN error
+        pick = np.where(errs <= tol, np.arange(grid.size), -1).max(axis=1)
+    lams = grid[pick]
+    w, b = _ridge_solve(x, y, lams)
+    ok = (pick >= 0) & np.isfinite(w).all(axis=1) & np.isfinite(b)
+    if not ok.all():
+        first = int(np.argmin(ok))
+        if pick[first] < 0:
+            raise ValidationError("ridge CV errors must be finite")
+        raise ValidationError("ridge weights and intercept must be finite")
+    return lams, w, b
 
 
 def ridge_cv(
@@ -132,7 +209,7 @@ def ridge_cv(
     folds: int,
     item_ids: Sequence[str] | None = None,
 ) -> RidgeModel:
-    """Pick lambda by K-fold CV, refit on all rows with ridge_fit.
+    """Pick lambda by K-fold CV, refit on all rows as ridge_fit does.
 
     Fold assignment is the deterministic stripe row i -> fold i mod folds;
     with folds equal to the number of rows this is leave-one-out. The CV
@@ -141,28 +218,18 @@ def ridge_cv(
     rounding. Ties go to the larger lambda: the pick is the largest lambda
     whose error is <= min * (1 + 1e-10) + 1e-24 * mean(y^2), so that rounding
     noise (a constant y, two-row training folds) cannot decide it. Every
-    grid value must be finite and > 0.
+    grid value must be finite and > 0. This is the one-slice case of
+    _ridge_cv_stack.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    grid = sorted(float(g) for g in grid)
-    if not grid:
-        raise ValidationError("empty lambda grid")
-    for lam in grid:
-        if not (np.isfinite(lam) and lam > 0.0):
-            raise ValidationError(f"lambda grid values must be finite and > 0, got {lam}")
-    if len(grid) == 1:
-        return ridge_fit(x, y, grid[0], item_ids)
-    m = x.shape[0]
-    if folds < 2:
-        raise ValidationError("cross-validation needs at least 2 folds")
-    if folds > m:
-        raise ValidationError(f"folds={folds} exceeds {m} rows")
-
-    errs = _cv_errors(x, y, np.asarray(grid), folds)
-    tol = float(errs.min()) * (1.0 + 1e-10) + 1e-24 * float(np.mean(y**2))
-    best_lam = grid[int(np.flatnonzero(errs <= tol)[-1])]
-    return ridge_fit(x, y, best_lam, item_ids)
+    grid = _lambda_grid(grid)
+    x, y = _check_xy(x, y)
+    if grid.size > 1:
+        if folds < 2:
+            raise ValidationError("cross-validation needs at least 2 folds")
+        if folds > x.shape[0]:
+            raise ValidationError(f"folds={folds} exceeds {x.shape[0]} rows")
+    lams, w, b = _ridge_cv_stack(x[None], y[None], grid, folds)
+    return RidgeModel(w[0], float(b[0]), float(lams[0]), tuple(item_ids) if item_ids else None)
 
 
 @dataclass

@@ -26,12 +26,20 @@ from .pool import ScoreMatrix
 from .embeddings import EmbeddingSet, assemble_combined, pca_reduce, performance_embeddings
 from .weighting import SubsetSpec, balance_weights, reference_scores
 from .weighting import apw_scores, renormalized_balance_scores
-from .regression import RidgeModel, ridge_cv
+from .regression import RidgeModel, _lambda_grid, _ridge_cv_stack, ridge_cv
 from . import irt as irt_mod
 
 LEARN_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 KMEANS_MAX_ITER = 300
+
+# Random-search candidates are scored in stacks of B = this // max(n^2,
+# lambdas * m^2) candidates. The largest stacked array, the (B, n, n) Gram or
+# the (B, lambdas, m, m) CV residual operators, then holds at most 128 KiB of
+# float64, and a batch's arrays together about twice that. Larger budgets
+# were a little faster but raised the peak RSS of perfbench's model_fit, by
+# up to 2.4 MB at 8x this budget.
+_SEARCH_BATCH_ELEMENTS = 16_384
 
 # Smallest n·k at which weighted_kmeans keeps per-point bounds (see its docstring).
 KMEANS_BOUNDS_MIN_NK = 200_000
@@ -473,7 +481,10 @@ def select_learn(matrix: ScoreMatrix, config: SelectorConfig) -> LearnSelection:
     random_search_learn: config.n_search balanced draws scored by validation
     MAE on a fixed config.holdout_fraction split of the source models; the
     first draw of least MAE is refit on all source models. With n_search=1
-    this reduces to sampling.
+    this reduces to sampling. Candidates are drawn one at a time, each from
+    its own stream, and scored in stacked batches (_SEARCH_BATCH_ELEMENTS):
+    one _ridge_cv_stack call and one stacked prediction per batch. The MAEs
+    equal those of scoring each candidate alone with ridge_cv, bit for bit.
     """
     method, n, seed, lambda_grid = config.method, config.n, config.seed, config.lambda_grid
     if method not in ("random_sampling_learn", "random_search_learn"):
@@ -492,11 +503,18 @@ def select_learn(matrix: ScoreMatrix, config: SelectorConfig) -> LearnSelection:
         val_rows, train_rows = perm[:n_val], perm[n_val:]
         if len(train_rows) < 2:
             raise ValidationError("not enough source models for the search split")
-        train_folds = min(5, len(train_rows))
-        for i in range(config.n_search):
-            x = matrix.values[:, _draw_balanced(matrix, n, p, seed, i)]
-            model = ridge_cv(x[train_rows], ref[train_rows], lambda_grid, folds=train_folds)
-            maes.append(float(np.abs(model.predict(x[val_rows]) - ref[val_rows]).mean()))
+        m = len(train_rows)
+        grid = _lambda_grid(lambda_grid)
+        batch = max(1, _SEARCH_BATCH_ELEMENTS // max(n * n, grid.size * m * m))
+        for start in range(0, config.n_search, batch):
+            stop = min(start + batch, config.n_search)
+            idx = np.array([_draw_balanced(matrix, n, p, seed, i) for i in range(start, stop)])
+            x = matrix.values[train_rows[None, :, None], idx[:, None, :]]
+            y = np.broadcast_to(ref[train_rows], (stop - start, m))
+            _, weights, intercepts = _ridge_cv_stack(x, y, grid, min(5, m))
+            x_val = matrix.values[val_rows[None, :, None], idx[:, None, :]]
+            pred = (x_val @ weights[:, :, None])[:, :, 0] + intercepts[:, None]
+            maes.extend(np.abs(pred - ref[val_rows]).mean(axis=1).tolist())
 
     # search keeps the first candidate of least MAE (np.argmin's tie rule); sampling, draw 0
     idx = _draw_balanced(matrix, n, p, seed, int(np.argmin(maes)) if maes else 0)

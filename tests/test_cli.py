@@ -232,6 +232,19 @@ def test_evaluate_jobs_below_1_exit_1(tmp_path, capsys, valid_inputs, jobs):
     assert not (tmp_path / "ev").exists()
 
 
+def test_evaluate_folds_holding_out_one_model_exit_1(tmp_path, capsys, valid_inputs):
+    # 9 models in 5 folds: four held-out folds would hold a single model
+    assert run_cli(
+        "evaluate", "--bundle", valid_inputs[1],
+        "--methods", "random_sampling_learn,random_search_learn", "--sizes", "8",
+        "--folds", 5, "--repeats", 1, "--seed", 5, "--out", tmp_path / "ev",
+    ) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "validation"
+    assert err["error"] == "5 folds need at least 10 models (2 held out per fold), got 9"
+    assert not (tmp_path / "ev").exists()
+
+
 def test_evaluate_repeated_method_exit_1(tmp_path, capsys, valid_inputs):
     assert run_cli(
         "evaluate", "--bundle", valid_inputs[1], "--methods", "random_balanced,random_balanced",

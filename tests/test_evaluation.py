@@ -241,6 +241,26 @@ def test_crossval_size_exceeding_pool_rejected(rng):
                        sizes=(9,), folds=2, repeats=1, master_seed=0)
 
 
+def test_crossval_rejects_folds_holding_out_one_model(rng, monkeypatch):
+    import coreselect.evaluation as evaluation
+
+    def no_repeat(*args):
+        raise AssertionError("a repeat ran before the fold count was checked")
+
+    monkeypatch.setattr(evaluation, "_run_repeat", no_repeat)
+    cfg = SelectorConfig("random_balanced", n=3, seed=0)
+    for models, folds in ((5, 3), (19, 10), (3, 2)):
+        m = random_matrix(rng, models, [6])
+        with pytest.raises(ValidationError, match=(
+                rf"^{folds} folds need at least {2 * folds} models \(2 held out per fold\), "
+                rf"got {models}$")):
+            crossval_curve(m, cfg, sizes=(3,), folds=folds, repeats=1, master_seed=0)
+    monkeypatch.undo()
+    # 2 models in every held-out fold is enough
+    curve = crossval_curve(random_matrix(rng, 6, [6]), cfg, sizes=(3,), folds=3, repeats=1)
+    assert len(curve.points[0].values) == 3
+
+
 def test_crossval_learn_and_irt_paths(rng):
     m = random_matrix(rng, 8, [6, 6])
     for method, extra in (

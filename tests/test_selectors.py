@@ -9,6 +9,7 @@ from coreselect.embeddings import performance_embeddings
 from coreselect.errors import ValidationError
 from coreselect.pool import ItemRecord, ScoreMatrix
 from coreselect.selectors import (
+    LEARN_LAMBDA_GRID,
     SelectorConfig,
     run_selector,
     select_anchor_points,
@@ -656,7 +657,7 @@ def test_learn_bit_identical_to_two_path_oracle():
             assert_learn_matches_oracle(m, config)
 
 
-def test_learn_search_all_tied_keeps_draw_zero(rng):
+def assert_all_tied_keeps_draw_zero(rng):
     from coreselect.selectors import _draw_balanced
 
     # constant columns of exact binary fractions: every candidate predicts
@@ -670,6 +671,56 @@ def test_learn_search_all_tied_keeps_draw_zero(rng):
     draws = [tuple(_draw_balanced(m, 3, b / b.sum(), 5, i)) for i in range(10)]
     assert len(set(draws)) > 1  # the candidates differ; only their MAEs tie
     assert sel.subset.item_ids == tuple(m.item_ids[i] for i in draws[0])
+
+
+def test_learn_search_all_tied_keeps_draw_zero(rng):
+    assert_all_tied_keeps_draw_zero(rng)
+
+
+def set_search_batch(monkeypatch, m, config, batch):
+    """Make select_learn score config's candidates in stacks of `batch` and
+    return the list that records each stack's size."""
+    n_train = m.n_models - max(1, int(round(m.n_models * config.holdout_fraction)))
+    per_slice = max(config.n ** 2, len(config.lambda_grid) * n_train ** 2)
+    monkeypatch.setattr(selectors, "_SEARCH_BATCH_ELEMENTS", batch * per_slice)
+    sizes = []
+    real = selectors._ridge_cv_stack
+
+    def recording(x, *args):
+        sizes.append(x.shape[0])
+        return real(x, *args)
+
+    monkeypatch.setattr(selectors, "_ridge_cv_stack", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_learn_batches_bit_identical_to_two_path_oracle(monkeypatch, batch):
+    # n_search one below, at and one above each of the first three batch ends
+    for j in (1, 2, 3):
+        for n_search in (batch * j - 1, batch * j, batch * j + 1):
+            if n_search < 1:
+                continue
+            rng = np.random.default_rng([20240817, batch, n_search])
+            k = int(rng.choice([4, 7, 12]))
+            m = random_matrix(rng, k, [6, 5, 4])
+            for grid in ((0.01, 0.1, 1.0), (0.5,), LEARN_LAMBDA_GRID):  # (0.5,) skips CV
+                config = SelectorConfig("random_search_learn", n=int(rng.integers(1, 16)),
+                                        seed=n_search, n_search=n_search, lambda_grid=grid)
+                sizes = set_search_batch(monkeypatch, m, config, batch)
+                assert_learn_matches_oracle(m, config)
+                full, last = divmod(n_search, batch)
+                assert sizes == [batch] * full + ([last] if last else [])
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("batch", [1, 3, 4])
+def test_learn_search_all_tied_across_batches_keeps_draw_zero(rng, monkeypatch, batch):
+    config = SelectorConfig("random_search_learn", n=3, seed=5, n_search=10)
+    m = make_matrix(np.zeros((6, 12)), [4, 8])  # the shape assert_all_tied_keeps_draw_zero uses
+    sizes = set_search_batch(monkeypatch, m, config, batch)
+    assert_all_tied_keeps_draw_zero(rng)
+    assert sizes[0] == batch and sum(sizes) == 10
 
 
 def test_learn_requires_enough_models(rng):
