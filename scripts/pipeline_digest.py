@@ -17,17 +17,19 @@ semantic and acoustic embeddings and ratings for 7 models; ingest; select of
 every method at n=20 (20 search draws); random_search_learn selects at n=20,
 50 and 200 with the default 1,000 search draws, whose candidates are scored
 in stacks of 13 with a last one of 12, stacks of 6 with a last one of 4, and
-one at a time (see ``selectors._SEARCH_BATCH_ELEMENTS``); evaluate of
-every method at sizes 10,20,50,200 (3 folds x 2 repeats, 20 search draws),
-once with --jobs 1 and once with --jobs 2;
+one at a time (see ``selectors._SEARCH_BATCH_ELEMENTS``); irt_anchor
+selects at n=20 with ``--irt-dim 1`` and with ``--irt-epochs 37 --irt-lr
+0.5``, whose M2PL fits take a shape and a step size the defaults do not;
+evaluate of every method at sizes 10,20,50,200 (3 folds x 2 repeats, 20
+search draws), once with --jobs 1 and once with --jobs 2;
 regress with lomo and pairwise52 on every rated dimension for every subset;
 export of every subset with its lomo regressors.
 
 A second synth pool of 18 models x 40 tasks x 100 items (4,000 items) runs
-one anchor_points select at n=60 and one anchor_points evaluate at sizes 50,60
-(3 folds x 1 repeat). Its K-Means calls have n·k of at least 200,000, so they
-take the bounded Lloyd steps of ``selectors.weighted_kmeans`` that the small
-pool never reaches.
+one anchor_points select at n=60, one irt_anchor select at n=60 (an 18 x 4,000
+M2PL fit) and one anchor_points evaluate at sizes 50,60 (3 folds x 1 repeat).
+Its K-Means calls have n·k of at least 200,000, so they take the bounded Lloyd
+steps of ``selectors.weighted_kmeans`` that the small pool never reaches.
 
 A third synth pool of 6 models x 3 tasks x 6 items has its CSV inputs
 rewritten with LF line ends and space-padded cells, and in the scores and
@@ -72,6 +74,10 @@ def run_pipeline(cli_main, methods, root: Path) -> None:
     for n in (20, 50, 200):  # the default --n-search of 1,000
         _run(cli_main, "select", "--bundle", bundle, "--method", "random_search_learn",
              "--n", n, "--seed", SEED, "--out", root / "select_search_default" / f"n{n}")
+    for name, flags in (("dim1", ("--irt-dim", 1)),
+                        ("epochs37_lr0.5", ("--irt-epochs", 37, "--irt-lr", 0.5))):
+        _run(cli_main, "select", "--bundle", bundle, "--method", "irt_anchor", "--n", 20,
+             "--seed", SEED, *flags, "--out", root / "select_irt" / name)
     for jobs in (1, 2):
         _run(cli_main, "evaluate", "--bundle", bundle, "--methods", ",".join(methods),
              "--sizes", "10,20,50,200", "--folds", 3, "--repeats", 2, "--n-search", 20,
@@ -99,6 +105,8 @@ def run_large_pool(cli_main, root: Path) -> None:
          "--norm-config", data / "norm_config.json", "--out", bundle)
     _run(cli_main, "select", "--bundle", bundle, "--method", "anchor_points", "--n", 60,
          "--seed", SEED, "--out", root / "large" / "select")
+    _run(cli_main, "select", "--bundle", bundle, "--method", "irt_anchor", "--n", 60,
+         "--seed", SEED, "--out", root / "large" / "select_irt")
     _run(cli_main, "evaluate", "--bundle", bundle, "--methods", "anchor_points",
          "--sizes", "50,60", "--folds", 3, "--repeats", 1, "--seed", SEED,
          "--out", root / "large" / "evaluate")

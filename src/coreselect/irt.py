@@ -21,12 +21,15 @@ from .weighting import SubsetSpec, balance_weights
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow or boolean indexing.
+
+    With e = exp(-|z|) in [0, 1], this is 1/(1+e) where z >= 0 and e/(1+e)
+    elsewhere: max(e, z >= 0) is exactly 1 or e, so each element takes the
+    same operations as the masked two-branch form and gets the same bits.
+    A NaN stays NaN.
+    """
+    e = np.exp(-np.abs(z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -139,16 +142,30 @@ def log_posterior(
     return ll + prior
 
 
+def _gradients_into(
+    alpha: np.ndarray, beta: np.ndarray, theta: np.ndarray, y: np.ndarray,
+    g_alpha: np.ndarray, g_beta: np.ndarray, g_theta: np.ndarray,
+) -> None:
+    """log_posterior_gradients, written into g_alpha, g_beta and g_theta."""
+    z = theta @ alpha.T
+    z -= beta
+    resid = y - sigmoid(z)  # K x N
+    np.matmul(resid.T, theta, out=g_alpha)
+    g_alpha -= alpha
+    np.sum(resid, axis=0, out=g_beta)
+    np.negative(g_beta, out=g_beta)
+    g_beta -= beta
+    np.matmul(resid, alpha, out=g_theta)
+    g_theta -= theta
+
+
 def log_posterior_gradients(
     alpha: np.ndarray, beta: np.ndarray, theta: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of log_posterior w.r.t. (alpha, beta, theta)."""
-    z = theta @ alpha.T - beta
-    resid = y - sigmoid(z)  # K x N
-    g_alpha = resid.T @ theta - alpha
-    g_beta = -resid.sum(axis=0) - beta
-    g_theta = resid @ alpha - theta
-    return g_alpha, g_beta, g_theta
+    grads = np.empty(alpha.shape), np.empty(beta.shape), np.empty(theta.shape)
+    _gradients_into(alpha, beta, theta, y, *grads)
+    return grads
 
 
 def fit_m2pl(
@@ -158,6 +175,13 @@ def fit_m2pl(
 
     Runs a fixed number of epochs at learning rate lr from seeded normals
     scaled by 0.1. The selectors take d, epochs and lr from SelectorConfig.
+
+    alpha, beta and theta are reshaped views of one flat parameter vector,
+    and so are their gradients and Adam's moments m and v, so each step is
+    one elementwise Adam pass over the whole vector. Every element goes
+    through the same operations in the same order as a per-block update, so
+    the fit is the same bit for bit. A fit that leaves a non-finite
+    parameter raises ValidationError.
     """
     y = responses.values
     k, n = y.shape
@@ -165,23 +189,36 @@ def fit_m2pl(
         raise ValidationError("M2PL fit needs at least 2 models and 2 items")
 
     rng = np.random.default_rng(seed)
-    alpha = 0.1 * rng.standard_normal((n, d))
-    beta = 0.1 * rng.standard_normal(n)
-    theta = 0.1 * rng.standard_normal((k, d))
+    params = 0.1 * rng.standard_normal(n * d + n + k * d)  # alpha, beta, theta
+    grads, m, v, m_step, v_step = (np.zeros_like(params) for _ in range(5))
 
+    def blocks(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return flat[:n * d].reshape(n, d), flat[n * d:n * d + n], flat[n * d + n:].reshape(k, d)
+
+    param_blocks, grad_blocks = blocks(params), blocks(grads)
     b1, b2, eps = 0.9, 0.999, 1e-8
-    params = [alpha, beta, theta]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    for step in range(1, epochs + 1):
-        grads = log_posterior_gradients(*params, y)
-        for idx, g in enumerate(grads):
-            m[idx] = b1 * m[idx] + (1 - b1) * g
-            v[idx] = b2 * v[idx] + (1 - b2) * g**2
-            m_hat = m[idx] / (1 - b1**step)
-            v_hat = v[idx] / (1 - b2**step)
-            params[idx] = params[idx] + lr * m_hat / (np.sqrt(v_hat) + eps)
-    alpha, beta, theta = params
+    with np.errstate(all="ignore"):  # a diverging fit ends in the check below
+        for step in range(1, epochs + 1):
+            _gradients_into(*param_blocks, y, *grad_blocks)
+            m *= b1  # m = b1 * m + (1 - b1) * g
+            np.multiply(grads, 1 - b1, out=m_step)
+            m += m_step
+            v *= b2  # v = b2 * v + (1 - b2) * g**2
+            np.square(grads, out=v_step)
+            v_step *= 1 - b2
+            v += v_step
+            np.divide(m, 1 - b1**step, out=m_step)  # lr * m_hat / (sqrt(v_hat) + eps)
+            m_step *= lr
+            np.divide(v, 1 - b2**step, out=v_step)
+            np.sqrt(v_step, out=v_step)
+            v_step += eps
+            m_step /= v_step
+            params += m_step
+    if not np.isfinite(params).all():
+        raise ValidationError(
+            f"M2PL fit diverged to non-finite parameters at irt_lr {lr!r}; lower irt_lr"
+        )
+    alpha, beta, theta = param_blocks
 
     return IrtModel(
         d=d,
@@ -226,20 +263,27 @@ def estimate_ability(
         z = a @ theta - b
         return float(np.sum(y * z) - np.sum(np.logaddexp(0.0, z)) - 0.5 * theta @ theta)
 
+    eye = np.eye(model.d)
     theta = np.zeros(model.d)
+    f0 = objective(theta)
     for _ in range(max_iter):
         z = a @ theta - b
         p = sigmoid(z)
         grad = a.T @ (y - p) - theta
         if float(np.linalg.norm(grad)) <= tol:
             break
-        hess = -(a.T * (p * (1.0 - p))) @ a - np.eye(model.d)
+        hess = -(a.T * (p * (1.0 - p))) @ a - eye
         step = np.linalg.solve(-hess, grad)
-        # backtracking keeps the Newton step inside the concave bowl
-        t, f0, slope = 1.0, objective(theta), float(grad @ step)
-        while objective(theta + t * step) < f0 + 1e-4 * t * slope and t > 1e-12:
+        # backtracking keeps the Newton step inside the concave bowl; the
+        # accepted trial's objective is the next iteration's f0
+        t, slope = 1.0, float(grad @ step)
+        trial = theta + t * step
+        f_trial = objective(trial)
+        while f_trial < f0 + 1e-4 * t * slope and t > 1e-12:
             t *= 0.5
-        theta = theta + t * step
+            trial = theta + t * step
+            f_trial = objective(trial)
+        theta, f0 = trial, f_trial
     return theta
 
 

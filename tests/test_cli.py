@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +289,27 @@ def test_select_validates_selector_params(tmp_path, capsys, flags, code):
         assert not out.exists()
     else:
         assert len(json.loads((out / "subset.json").read_text())["items"]) == 10
+
+
+def test_diverging_irt_fit_writes_one_json_line_to_stderr(tmp_path):
+    bundle = ingest(tmp_path, make_pool_files(tmp_path))
+    import coreselect
+
+    src = Path(coreselect.__file__).resolve().parents[1]
+    argv = ["select", "--bundle", str(bundle), "--method", "irt_anchor", "--n", "10",
+            "--seed", "7", "--irt-lr", "1e300", "--out", str(tmp_path / "sel")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from coreselect.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = json.loads(lines[0])
+    assert err["kind"] == "validation"
+    assert "irt_lr" in err["error"]
+    assert not (tmp_path / "sel").exists()
 
 
 @pytest.mark.parametrize("entry, message", [

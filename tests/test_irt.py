@@ -136,6 +136,159 @@ def test_fit_deterministic(rng):
     assert np.array_equal(a.theta, b.theta)
 
 
+# ----------------------------------------------- oracles of the old forms
+
+def masked_sigmoid(z):
+    """The two-branch sigmoid by boolean gather and scatter (the former form)."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def per_block_fit_m2pl(y, d, epochs, lr, seed):
+    """Adam over (alpha, beta, theta) one block at a time (the former fit)."""
+    k, n = y.shape
+    rng = np.random.default_rng(seed)
+    params = [0.1 * rng.standard_normal((n, d)), 0.1 * rng.standard_normal(n),
+              0.1 * rng.standard_normal((k, d))]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for step in range(1, epochs + 1):
+        alpha, beta, theta = params
+        z = theta @ alpha.T - beta
+        resid = y - masked_sigmoid(z)
+        grads = (resid.T @ theta - alpha, -resid.sum(axis=0) - beta, resid @ alpha - theta)
+        for idx, g in enumerate(grads):
+            m[idx] = b1 * m[idx] + (1 - b1) * g
+            v[idx] = b2 * v[idx] + (1 - b2) * g**2
+            m_hat = m[idx] / (1 - b1**step)
+            v_hat = v[idx] / (1 - b2**step)
+            params[idx] = params[idx] + lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
+def newton_estimate_ability(model, anchor_rows, responses, tol=1e-6, max_iter=500):
+    """estimate_ability with np.eye and objective(theta) rebuilt every
+    iteration (the former form)."""
+    y = np.asarray(responses, dtype=np.float64)
+    a = model.alpha[anchor_rows]
+    b = model.beta[anchor_rows]
+
+    def objective(theta):
+        z = a @ theta - b
+        return float(np.sum(y * z) - np.sum(np.logaddexp(0.0, z)) - 0.5 * theta @ theta)
+
+    theta = np.zeros(model.d)
+    for _ in range(max_iter):
+        z = a @ theta - b
+        p = masked_sigmoid(z)
+        grad = a.T @ (y - p) - theta
+        if float(np.linalg.norm(grad)) <= tol:
+            break
+        hess = -(a.T * (p * (1.0 - p))) @ a - np.eye(model.d)
+        step = np.linalg.solve(-hess, grad)
+        t, f0, slope = 1.0, objective(theta), float(grad @ step)
+        while objective(theta + t * step) < f0 + 1e-4 * t * slope and t > 1e-12:
+            t *= 0.5
+        theta = theta + t * step
+    return theta
+
+
+EDGES = np.array([0.0, 5e-324, 36.7, 709.8, 745.2, 1e308, np.inf, 1.0, 0.25, 40.0])
+EDGE_VALUES = np.concatenate([EDGES, -EDGES])
+
+
+@pytest.mark.parametrize("view", ["contiguous", "strided", "reversed", "2d", "2d_transposed"])
+def test_sigmoid_bit_identical_to_masked_form_at_edges(view):
+    z = np.concatenate([EDGE_VALUES, np.linspace(-50.0, 50.0, 40)])
+    z = {
+        "contiguous": z,
+        "strided": np.repeat(z, 3)[::3],
+        "reversed": z[::-1],
+        "2d": z.reshape(3, -1),
+        "2d_transposed": z.reshape(3, -1).T,
+    }[view]
+    got = sigmoid(z)
+    assert got.shape == z.shape
+    assert got.tobytes() == masked_sigmoid(z).tobytes()
+
+
+def test_sigmoid_of_nan_is_nan():
+    z = np.array([np.nan, -np.nan, 1.0, -1.0])
+    got = sigmoid(z)
+    assert np.isnan(got[:2]).all()  # only the payload may differ from the masked form
+    assert got[2:].tobytes() == masked_sigmoid(z[2:]).tobytes()
+
+
+def test_gradients_bit_identical_to_masked_form(rng):
+    k, n, d = 7, 30, 3
+    alpha, beta, theta = rng.standard_normal((n, d)), rng.standard_normal(n), rng.standard_normal((k, d))
+    y = (rng.random((k, n)) < 0.5).astype(float)
+    resid = y - masked_sigmoid(theta @ alpha.T - beta)
+    expected = (resid.T @ theta - alpha, -resid.sum(axis=0) - beta, resid @ alpha - theta)
+    for got, want in zip(log_posterior_gradients(alpha, beta, theta, y), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fit_bit_identical_to_per_block_adam():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 20), n=st.integers(2, 300), d=st.integers(1, 6),
+           epochs=st.integers(1, 60), lr=st.sampled_from([0.001, 0.05, 0.1, 0.5, 2.0]),
+           seed=st.integers(0, 2**32 - 1), rate=st.floats(0.05, 0.95))
+    def check(k, n, d, epochs, lr, seed, rate):
+        rng = np.random.default_rng(seed)
+        y = (rng.random((k, n)) < rate).astype(float)
+        m = make_matrix(y, [n])
+        fit = fit_m2pl(binarize(m), d=d, epochs=epochs, lr=lr, seed=seed)
+        alpha, beta, theta = per_block_fit_m2pl(y, d, epochs, lr, seed)
+        assert fit.alpha.tobytes() == alpha.tobytes()
+        assert fit.beta.tobytes() == beta.tobytes()
+        assert fit.theta.tobytes() == theta.tobytes()
+
+    check()
+
+
+def test_fit_bit_identical_to_per_block_adam_on_synth_pool():
+    cfg = SynthConfig(models=12, tasks=8, items_per_task=25, latent_dim=3, seed=11)
+    _, resp = gen_m2pl_dataset(cfg)
+    fit = fit_m2pl(resp, d=5, epochs=500, lr=0.1, seed=3)
+    alpha, beta, theta = per_block_fit_m2pl(resp.values, 5, 500, 0.1, 3)
+    assert fit.alpha.tobytes() == alpha.tobytes()
+    assert fit.beta.tobytes() == beta.tobytes()
+    assert fit.theta.tobytes() == theta.tobytes()
+
+
+def test_diverging_fit_names_irt_lr_without_warnings(rng):
+    import warnings
+
+    m = make_matrix((rng.random((6, 10)) < 0.5).astype(float), [10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="irt_lr"):
+            fit_m2pl(binarize(m), d=2, epochs=20, lr=1e300, seed=0)
+
+
+def test_estimate_ability_bit_identical_to_newton_oracle(rng):
+    # scales of 20 and 60 make the full Newton step overshoot, so the
+    # backtracking loop and its carried objective value are exercised
+    for trial in range(60):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        scale = float(rng.choice([0.1, 1.0, 5.0, 20.0, 60.0]))
+        model = _toy_model(scale * rng.standard_normal((n, d)),
+                           scale * rng.standard_normal(n), d)
+        rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        y = (rng.random(rows.size) < rng.random()).astype(float)
+        got = estimate_ability(model, rows, y)
+        assert got.tobytes() == newton_estimate_ability(model, rows, y).tobytes()
+
+
 # ------------------------------------------------------------ embeddings
 
 def test_item_embeddings_shapes_and_copy(rng):
