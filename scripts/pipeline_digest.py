@@ -37,6 +37,14 @@ semantic files one quoted cell, before ingest, a combined_anchor select at
 n=6 and a lomo regress. Synth writes CRLF and no quotes, so this pool keeps
 the ``csv.reader`` path of the chunked CSV reader, and LF text on its split
 path, under the digest.
+
+A fourth synth pool of 6 models x 3 tasks x 8 items has the scores of each
+group of four items in its first two tasks replaced by those of the group's
+first item, leaving 12 distinct score columns among 24 items. anchor_points
+selects at n=24 and n=8 put the two tie rules of ``selectors.weighted_kmeans``
+under the digest: at n=24 the k-means++ seeding mass reaches zero after 12
+seeds, so the rest take the first unused row, and at n=8 clusters hold
+identical items, whose anchor is the lowest row among the exact minima.
 """
 
 from __future__ import annotations
@@ -143,6 +151,33 @@ def run_rewritten_pool(cli_main, root: Path) -> None:
          root / "rewritten" / "regress")
 
 
+def _share_scores(text: str, group: int, items: int) -> str:
+    """The scores CSV with each of the first ``items`` items (in synth's
+    order) given the scores of the first item of its group of ``group``."""
+    lines = text.splitlines()
+    item_ids = list(dict.fromkeys(line.split(",")[1] for line in lines[1:]))
+    source = {item_ids[i]: item_ids[i - i % group] for i in range(items)}
+    raw = {tuple(line.split(",")[:2]): line.split(",")[2] for line in lines[1:]}
+    rows = [lines[0]]
+    for line in lines[1:]:
+        model, item, value = line.split(",")
+        rows.append(f"{model},{item},{raw[model, source.get(item, item)]}")
+    return "\n".join(rows) + "\n"
+
+
+def run_duplicate_pool(cli_main, root: Path) -> None:
+    data, bundle = root / "duplicates" / "data", root / "duplicates" / "bundle"
+    _run(cli_main, "synth", "--models", 6, "--tasks", 3, "--items-per-task", 8,
+         "--seed", SEED, "--out", data)
+    scores = data / "scores.csv"
+    scores.write_text(_share_scores(scores.read_text(encoding="utf-8"), 4, 16), encoding="utf-8")
+    _run(cli_main, "ingest", "--items", data / "items.csv", "--scores", scores,
+         "--norm-config", data / "norm_config.json", "--out", bundle)
+    for n in (24, 8):
+        _run(cli_main, "select", "--bundle", bundle, "--method", "anchor_points", "--n", n,
+             "--seed", SEED, "--out", root / "duplicates" / f"select_n{n}")
+
+
 def main() -> None:
     checkout = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(checkout.resolve() / "src"))
@@ -153,6 +188,7 @@ def main() -> None:
         run_pipeline(cli_main, METHODS, root)
         run_large_pool(cli_main, root)
         run_rewritten_pool(cli_main, root)
+        run_duplicate_pool(cli_main, root)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(root).as_posix()}")

@@ -45,13 +45,14 @@ class EmbeddingSet:
         return self.vectors.shape[1]
 
 
-def pca_reduce(vectors: np.ndarray, k: int) -> np.ndarray:
+def pca_reduce(vectors: np.ndarray, k: int, name: str = "embedding") -> np.ndarray:
     """Project mean-centered rows onto the top-k principal directions.
 
     Components are ordered by descending explained variance; each component's
     sign is fixed so its largest-magnitude loading is positive, making the
     output deterministic across runs and platforms. Columns beyond the matrix
-    rank are exactly zero.
+    rank are exactly zero. Finite values whose covariance overflows raise a
+    ValidationError that names the input as ``name``, without a numpy warning.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
@@ -64,8 +65,11 @@ def pca_reduce(vectors: np.ndarray, k: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValidationError("non-finite input to pca_reduce")
 
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / (n - 1)
+    if not np.isfinite(cov).all():
+        raise ValidationError(f"{name} values too large for PCA: their covariance overflows")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order][:k]
@@ -126,8 +130,8 @@ def assemble_combined(
     _check_alignment(acoustic, matrix, "acoustic")
     _check_alignment(semantic, matrix, "semantic")
     k = matrix.n_models
-    ac = minmax_scale(pca_reduce(acoustic.vectors, k))
-    se = minmax_scale(pca_reduce(semantic.vectors, k))
+    ac = minmax_scale(pca_reduce(acoustic.vectors, k, "acoustic embedding"))
+    se = minmax_scale(pca_reduce(semantic.vectors, k, "semantic embedding"))
     perf = matrix.values.T
     meta = np.asarray(
         [[float(it.needs_audio_in), float(it.needs_audio_out)] for it in matrix.items]

@@ -131,26 +131,47 @@ def _pairwise_sq_dists(
 def _kmeanspp_seed(
     points: np.ndarray, norms: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Distance-weighted greedy seeding: each new seed is drawn with
-    probability proportional to weight times squared distance to the nearest
-    chosen seed."""
+    """Distance-weighted greedy seeding (k-means++; Arthur & Vassilvitskii,
+    SODA 2007): the first seed is drawn with probability proportional to
+    weight, each later one to weight times squared distance to the nearest
+    chosen seed. When that mass is all zero, every remaining point coincides
+    with a chosen seed and the first unused row is taken.
+
+    Each draw is Generator.choice(n, p=q)'s own inverse-CDF form for one
+    sample with replacement, on q = mass / total: cdf = q.cumsum(), cdf /=
+    cdf[-1], and the row cdf.searchsorted(rng.random(), side="right"). It
+    takes the same row from the same stream without choice's per-call checks
+    of q; a total that is not finite raises a ValidationError instead. The
+    one-centre distance is max((‖p‖² + ‖c‖²) − (2p)·c, 0) with ‖c‖² =
+    norms[c], which is (c**2).sum() for C-contiguous points, and (2p)·c one
+    matmul by 2.0 * points[c]. Mass, q and cdf reuse the distance buffers."""
     n = points.shape[0]
     chosen = np.empty(k, dtype=np.intp)
-    chosen[0] = rng.choice(n, p=weights / weights.sum())
-    d2, new_d2, gram = np.empty((n, 1)), np.empty((n, 1)), np.empty((n, 1))
-    _pairwise_sq_dists(points, norms, points[chosen[0]][None, :], d2, gram)
-    for j in range(1, k):
-        mass = weights * d2[:, 0]
+    d2, new_d2, gram = np.full(n, np.inf), np.empty(n), np.empty((n, 1))
+    mass, cdf = gram[:, 0], new_d2
+    np.copyto(mass, weights)
+    for j in range(k):
         total = mass.sum()
+        if not math.isfinite(total):
+            raise ValidationError("k-means++ seeding mass is not finite; points or weights too large")
         if total <= 0.0:
-            # remaining points coincide with chosen seeds; take the first unused
             used = np.zeros(n, dtype=bool)
             used[chosen[:j]] = True
             chosen[j] = int(np.flatnonzero(~used)[0])
         else:
-            chosen[j] = rng.choice(n, p=mass / total)
-        _pairwise_sq_dists(points, norms, points[chosen[j]][None, :], new_d2, gram)
+            np.divide(mass, total, out=mass)
+            np.cumsum(mass, out=cdf)
+            cdf /= cdf[-1]
+            chosen[j] = cdf.searchsorted(rng.random(), side="right")
+        if j == k - 1:
+            break
+        c = chosen[j]
+        np.matmul(points, (2.0 * points[c])[:, None], out=gram)
+        np.add(norms, norms[c], out=new_d2)
+        new_d2 -= gram[:, 0]
+        np.maximum(new_d2, 0.0, out=new_d2)
         np.minimum(d2, new_d2, out=d2)
+        np.multiply(weights, d2, out=mass)
     return chosen
 
 
@@ -173,6 +194,24 @@ def _weighted_means(
     stops = np.cumsum(counts).tolist()
     for c, (a, b) in enumerate(zip([0] + stops[:-1], stops)):
         out[c] = wps[a:b].sum(axis=0) / ws[a:b].sum()
+
+
+def _anchor_rows(d2: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Each cluster's lowest row among its members whose distance d2[row,
+    cluster] equals the cluster's least exactly: the member np.argmin picks.
+    One pass over the rows takes each cluster's least with np.minimum.at and
+    the lowest equal row with np.minimum.at again. A NaN distance equals no
+    least, and a cluster left without an anchor raises a ValidationError."""
+    n, k = d2.shape
+    own = d2[np.arange(n), assign]
+    least = np.full(k, np.inf)
+    np.minimum.at(least, assign, own)
+    rows = np.flatnonzero(own == least[assign])
+    anchors = np.full(k, n, dtype=np.intp)
+    np.minimum.at(anchors, assign[rows], rows)
+    if (anchors == n).any():
+        raise ValidationError("non-finite distance to a centroid; points too large")
+    return anchors
 
 
 def _second_nearest(d2: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -225,14 +264,23 @@ def weighted_kmeans(
 
     Runs until the assignment reaches a fixpoint or max_iter. Every cluster is
     kept non-empty (an emptied cluster is repaired by giving it the point with
-    the largest weighted distance contribution), anchors are the members
-    nearest their centroid (ties to the lowest row index), and the recorded
-    per-iteration objective never increases.
+    the largest weighted distance contribution), and the recorded
+    per-iteration objective never increases. Seeds come from _kmeanspp_seed,
+    whose draws are Generator.choice's own inverse-CDF form.
 
     Every bit of the result depends on the arithmetic order, which is fixed:
     each squared distance is max((‖p‖² + ‖c‖²) − (2p)·c, 0) with ‖p‖² =
-    (p**2).sum(), and each centroid is (w·p).sum(axis=0) / w.sum() over its
-    members' rows in ascending row order.
+    (p**2).sum() held in norms, which also gives a seed's ‖c‖² as norms[c],
+    and each centroid is (w·p).sum(axis=0) / w.sum() over its members' rows in
+    ascending row order. Points are read as a C-contiguous float64 copy when
+    they are not one already, so the result does not depend on their layout.
+
+    The anchor of a cluster is the lowest row among its members whose final
+    kernel distance to the centroid equals the cluster's minimum exactly, the
+    member np.argmin picks; _anchor_rows finds every anchor in one pass.
+
+    Non-finite points or weights, points whose squared norm overflows, and a
+    seeding mass or final distance that is not finite raise a ValidationError.
 
     When n·k reaches KMEANS_BOUNDS_MIN_NK, a Lloyd step recomputes distances
     only for the points whose cluster could change (Hamerly, "Making k-means
@@ -261,15 +309,19 @@ def weighted_kmeans(
     12–28% at 4,000–10,000 points and a third at 16,680 points with k = 40–60;
     at 1,000 points with k = 200 they still cost 3–5%.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError("points must be a 2-D array")
-    w = np.asarray(weights)
+    w = np.asarray(weights, dtype=np.float64)
     n = points.shape[0]
-    if w.shape != (n,) or (w <= 0).any():
-        raise ValidationError("weights must be positive and aligned with points")
+    if w.shape != (n,) or not ((w > 0.0) & (w < np.inf)).all():
+        raise ValidationError("weights must be finite, positive and aligned with points")
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} outside [1, {n}]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (points**2).sum(axis=1)
+    if not np.isfinite(norms).all():
+        raise ValidationError("points must be finite, with squared norms below the float64 maximum")
 
     if k > 1 and bool((points == points[0]).all()):
         # degenerate pool: first k rows become singleton anchors, the rest join cluster 0
@@ -279,7 +331,6 @@ def weighted_kmeans(
         return ClusterResult(assign, centroids, np.arange(k, dtype=np.intp), 0.0, (0.0,))
 
     rng = np.random.default_rng(seed)
-    norms = (points**2).sum(axis=1)
     wpoints = w[:, None] * points
     centroids = points[_kmeanspp_seed(points, norms, w, k, rng)].copy()
     d2, gram = np.empty((n, k)), np.empty((n, k))
@@ -333,10 +384,7 @@ def weighted_kmeans(
             lower = np.maximum(lower - other, 0.0) * (1.0 - slack)
 
     _pairwise_sq_dists(points, norms, centroids, d2, gram)
-    anchors = np.empty(k, dtype=np.intp)
-    for c in range(k):
-        members = np.flatnonzero(assign == c)
-        anchors[c] = members[int(np.argmin(d2[members, c]))]
+    anchors = _anchor_rows(d2, assign)
     objective = float((w * _own_sq_dists(points, centroids, assign)).sum())
     if not trace:
         trace.append(objective)
@@ -561,7 +609,8 @@ def _prepare_pca_anchor(kind, matrix, config, semantic, acoustic):
     embeddings = semantic if kind == "semantic" else acoustic
     if embeddings is None:
         raise ValidationError(f"{config.method} requires {kind} embeddings")
-    reduced = pca_reduce(embeddings.vectors, min(config.pca_dim, embeddings.dim))
+    reduced = pca_reduce(embeddings.vectors, min(config.pca_dim, embeddings.dim),
+                         f"{kind} embedding")
     return EmbeddingSet(kind, embeddings.item_ids, reduced), None
 
 

@@ -291,16 +291,16 @@ def test_select_validates_selector_params(tmp_path, capsys, flags, code):
         assert len(json.loads((out / "subset.json").read_text())["items"]) == 10
 
 
-def test_diverging_irt_fit_writes_one_json_line_to_stderr(tmp_path):
-    bundle = ingest(tmp_path, make_pool_files(tmp_path))
+def _validation_error_in_subprocess(*argv):
+    """Run the CLI in a fresh interpreter, where numpy warnings reach stderr
+    (pytest captures them in-process); assert exit 1 with exactly one stderr
+    line, a validation error, and return its message."""
     import coreselect
 
     src = Path(coreselect.__file__).resolve().parents[1]
-    argv = ["select", "--bundle", str(bundle), "--method", "irt_anchor", "--n", "10",
-            "--seed", "7", "--irt-lr", "1e300", "--out", str(tmp_path / "sel")]
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from coreselect.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv],
+         "sys.exit(main(sys.argv[1:]))", *map(str, argv)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 1
@@ -308,7 +308,32 @@ def test_diverging_irt_fit_writes_one_json_line_to_stderr(tmp_path):
     assert len(lines) == 1, proc.stderr
     err = json.loads(lines[0])
     assert err["kind"] == "validation"
-    assert "irt_lr" in err["error"]
+    return err["error"]
+
+
+def test_diverging_irt_fit_writes_one_json_line_to_stderr(tmp_path):
+    bundle = ingest(tmp_path, make_pool_files(tmp_path))
+    error = _validation_error_in_subprocess(
+        "select", "--bundle", bundle, "--method", "irt_anchor", "--n", 10, "--seed", 7,
+        "--irt-lr", "1e300", "--out", tmp_path / "sel")
+    assert "irt_lr" in error
+    assert not (tmp_path / "sel").exists()
+
+
+@pytest.mark.parametrize("method, kind", [("semantic_anchor", "semantic"),
+                                          ("combined_anchor", "semantic"),
+                                          ("combined_anchor", "acoustic")])
+def test_pca_overflow_writes_one_json_line_to_stderr(tmp_path, method, kind):
+    data = make_pool_files(tmp_path, embedding_dim=12)
+    bundle = ingest(tmp_path, data)
+    path = data / f"{kind}.csv"
+    # one finite cell whose square overflows the covariance
+    path.write_text(_edit_row(path.read_text(), 2, lambda c: [c[0], "1e200", *c[2:]]))
+    error = _validation_error_in_subprocess(
+        "select", "--bundle", bundle, "--method", method, "--n", 10, "--seed", 7,
+        "--semantic", data / "semantic.csv", "--acoustic", data / "acoustic.csv",
+        "--out", tmp_path / "sel")
+    assert error.startswith(f"{kind} embedding values too large for PCA")
     assert not (tmp_path / "sel").exists()
 
 

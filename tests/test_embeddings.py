@@ -84,6 +84,20 @@ def test_pca_input_validation(rng):
         pca_reduce(bad, 2)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1.5e308])
+def test_pca_overflow_names_the_input_without_a_warning(rng, scale):
+    # 1e200 overflows the covariance; 1.5e308 in every cell overflows the column mean first
+    x = rng.standard_normal((10, 3))
+    if scale == 1e200:
+        x[0, 0] = scale
+    else:
+        x = np.full((10, 3), scale)
+        x[0] = -scale
+    with np.errstate(all="raise"):
+        with pytest.raises(ValidationError, match="^acoustic embedding values too large"):
+            pca_reduce(x, 2, "acoustic embedding")
+
+
 def test_minmax_endpoints_and_midpoint():
     out = minmax_scale(np.array([[2.0], [4.0], [6.0]]))
     assert out[:, 0] == pytest.approx([0.0, 0.5, 1.0])

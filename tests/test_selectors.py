@@ -349,6 +349,143 @@ def test_kmeans_bounds_bit_identical_on_oracle_pools(monkeypatch):
         _assert_kmeans_matches_oracle(points, w, k, seed)
 
 
+def _non_finite_case(case):
+    rng = np.random.default_rng(17)
+    points, w = rng.standard_normal((40, 3)), rng.random(40) + 0.1
+    if case in ("nan_point", "inf_point"):
+        points[3, 1] = np.nan if case == "nan_point" else -np.inf
+    elif case == "scaled_1e200":
+        points *= 1e200  # finite, but every squared norm overflows
+    elif case in ("nan_weight", "inf_weight"):
+        w[2] = np.nan if case == "nan_weight" else np.inf
+    elif case == "weight_sum_overflow":
+        w = np.full(40, 1e307)  # the first draw's total is inf
+    elif case == "seeding_mass_overflow":
+        # ‖p‖² = 1e308 is finite, but ‖p‖² + ‖c‖² is not
+        points = np.zeros((40, 3))
+        points[::2, 0], points[1::2, 0] = 1e154, -1e154
+    else:  # one huge point: seeding never measures it against itself, the anchor pass does
+        points[7] = [1.1e154, 0.0, 0.0]
+        w = np.full(40, 1 / 40)
+    return points, w
+
+
+@pytest.mark.parametrize("case, k, message", [
+    ("nan_point", 5, "points must be finite"),
+    ("inf_point", 5, "points must be finite"),
+    ("scaled_1e200", 5, "points must be finite"),
+    ("scaled_1e200", 1, "points must be finite"),
+    ("nan_weight", 5, "weights must be finite"),
+    ("inf_weight", 5, "weights must be finite"),
+    ("weight_sum_overflow", 1, "seeding mass is not finite"),
+    ("seeding_mass_overflow", 5, "seeding mass is not finite"),
+    ("huge_point", 2, "non-finite distance to a centroid"),
+])
+def test_kmeans_rejects_non_finite_input(case, k, message):
+    points, w = _non_finite_case(case)
+    # the input checks come before any arithmetic that could warn; the later
+    # checks see overflow that numpy warns of on the way
+    quiet = message.startswith(("points", "weights"))
+    with np.errstate(over="raise" if quiet else "ignore", invalid="raise" if quiet else "ignore"):
+        with pytest.raises(ValidationError, match=message):
+            weighted_kmeans(points, w, k, seed=0)
+
+
+def _assert_seeds_match_oracle(points, w, k, seed):
+    norms = (points**2).sum(axis=1)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = selectors._kmeanspp_seed(points, norms, w, k, got_rng)
+    want = _oracle_kmeanspp_seed(points, w, k, want_rng)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.random() == want_rng.random()  # the same draws from the stream
+    return got
+
+
+@pytest.mark.parametrize("d, k", [(12, 40), (12, 350), (56, 60), (56, 350)])
+def test_kmeanspp_seed_matches_choice_oracle_at_paper_shape(d, k):
+    # 16,680 items; d = 12 source models, or combined_anchor's 3 * 18 + 2 columns
+    rng = np.random.default_rng([d, k])
+    points = rng.random((16_680, d))
+    w = rng.random(16_680) + 0.01
+    _assert_seeds_match_oracle(points, w / w.sum(), k, d * k)
+
+
+def test_kmeans_non_contiguous_points_match_oracle(monkeypatch):
+    rng = np.random.default_rng(23)
+    base, w = _blob_pool(rng, 600, 24, 6)
+    strided, strided_w = base[:, ::2], np.repeat(w, 2)[::2]
+    assert not strided.flags.c_contiguous and not strided_w.flags.c_contiguous
+    _assert_seeds_match_oracle(strided, strided_w, 40, 4)
+    for bound in (selectors.KMEANS_BOUNDS_MIN_NK, 0):
+        monkeypatch.setattr(selectors, "KMEANS_BOUNDS_MIN_NK", bound)
+        _assert_kmeans_matches_oracle(strided, strided_w, 20, 4)
+        # any other layout clusters as its C-contiguous copy
+        res = weighted_kmeans(np.asfortranarray(strided), w, 20, 4)
+        want = weighted_kmeans(np.ascontiguousarray(strided), w, 20, 4)
+        assert res.assignments.tobytes() == want.assignments.tobytes()
+        assert res.centroids.tobytes() == want.centroids.tobytes()
+        assert res.anchor_rows.tobytes() == want.anchor_rows.tobytes()
+        assert res.objective_trace == want.objective_trace
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kmeans_fortran_duplicates_seed_as_c_contiguous(seed):
+    # A Fortran-order row sum adds in another order than a C-order one, and
+    # once every distinct row is a seed, the draws run on the few-ulp
+    # distances left at the duplicates, so only norms taken from the C-order
+    # copy give the same seeds as the C-order pool.
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((40, 12))[rng.permutation(np.arange(120) % 40)]
+    w = rng.random(120) + 0.05
+    res = weighted_kmeans(np.asfortranarray(points), w, 120, seed)
+    want = weighted_kmeans(points, w, 120, seed)
+    assert res.anchor_rows.tobytes() == want.anchor_rows.tobytes()
+    assert res.centroids.tobytes() == want.centroids.tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(2000, 50), (120, 120)])
+def test_kmeans_duplicate_points_take_first_unused_seed(n, k):
+    rng = np.random.default_rng([n, k])
+    # half-integers keep every distance exact, so a duplicate of a seed has
+    # mass exactly 0 (rounded products can leave it a few ulps above)
+    distinct = rng.integers(-6, 7, size=(40, 12)) * 0.5
+    points = distinct[rng.permutation(np.arange(n) % 40)]
+    w = rng.random(n) + 0.05
+    seeds = _assert_seeds_match_oracle(points, w, k, 9)
+    # after the 40 distinct points the mass is zero: the first unused rows follow
+    assert len(np.unique(points[seeds[:40]], axis=0)) == 40
+    unused = np.setdiff1d(np.arange(n), seeds[:40])
+    assert seeds[40:].tolist() == unused[:k - 40].tolist()
+    _assert_kmeans_matches_oracle(points, w, k, 9)
+
+
+def _tied_anchor_clusters(points, w, k, seed):
+    """Clusters of the oracle's result with two or more members at their
+    cluster's least kernel distance."""
+    assign, centroids, *_ = oracle_weighted_kmeans(points, w, k, seed)
+    own = _oracle_sq_dists(points, centroids)[np.arange(len(points)), assign]
+    return sum((own[assign == c] == own[assign == c].min()).sum() > 1 for c in range(k))
+
+
+@pytest.mark.parametrize("n, k", [(6000, 33), (6000, 34), (400, 400)])
+def test_kmeans_anchor_ties_match_oracle(n, k):
+    # 6000 * 33 sits just below KMEANS_BOUNDS_MIN_NK and 6000 * 34 above it
+    rng = np.random.default_rng([n, k])
+    points = rng.integers(0, 9, size=(n, 2)).astype(np.float64)
+    w = np.ones(n)
+    if k < n:
+        assert _tied_anchor_clusters(points, w, k, 5) > 0
+    _assert_kmeans_matches_oracle(points, w, k, 5)
+
+
+@pytest.mark.parametrize("k", [39, 40])
+def test_kmeans_matches_oracle_on_both_sides_of_bounds_constant(k):
+    n = 5000  # n * k = 195,000 and 200,000
+    assert (n * k >= selectors.KMEANS_BOUNDS_MIN_NK) == (k == 40)
+    points, w = _blob_pool(np.random.default_rng([n, k]), n, 12, 30)
+    _assert_kmeans_matches_oracle(points, w, k, k)
+
+
 # ------------------------------------------------- random balanced draws
 
 def test_random_balanced_expected_task_counts(rng):
