@@ -21,7 +21,9 @@ one at a time (see ``selectors._SEARCH_BATCH_ELEMENTS``); irt_anchor
 selects at n=20 with ``--irt-dim 1`` and with ``--irt-epochs 37 --irt-lr
 0.5``, whose M2PL fits take a shape and a step size the defaults do not;
 evaluate of every method at sizes 10,20,50,200 (3 folds x 2 repeats, 20
-search draws), once with --jobs 1 and once with --jobs 2;
+search draws), once with --jobs 1 and once with --jobs 2, and once more with
+--jobs 2 and the methods listed in reverse order, whose curves must not
+depend on which methods ran before them on the same fold;
 regress with lomo and pairwise52 on every rated dimension for every subset;
 export of every subset with its lomo regressors.
 
@@ -90,6 +92,9 @@ def run_pipeline(cli_main, methods, root: Path) -> None:
         _run(cli_main, "evaluate", "--bundle", bundle, "--methods", ",".join(methods),
              "--sizes", "10,20,50,200", "--folds", 3, "--repeats", 2, "--n-search", 20,
              "--seed", SEED, "--jobs", jobs, *embeddings, "--out", root / f"evaluate_jobs{jobs}")
+    _run(cli_main, "evaluate", "--bundle", bundle, "--methods", ",".join(reversed(methods)),
+         "--sizes", "10,20,50,200", "--folds", 3, "--repeats", 2, "--n-search", 20,
+         "--seed", SEED, "--jobs", 2, *embeddings, "--out", root / "evaluate_reversed")
     for method in methods:
         subset = root / "select" / method / "subset.json"
         regressors = []

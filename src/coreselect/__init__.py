@@ -34,7 +34,7 @@ from .evaluation import (
     CorrelationCurve,
     EvalReport,
     aucc,
-    crossval_curve,
+    crossval_curves,
     kendall,
     n_threshold,
     pearson,
@@ -81,7 +81,7 @@ __all__ = [
     "kendall",
     "CorrelationCurve",
     "EvalReport",
-    "crossval_curve",
+    "crossval_curves",
     "aucc",
     "n_threshold",
     "SynthConfig",

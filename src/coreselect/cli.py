@@ -28,7 +28,7 @@ from .embeddings import load_embedding_csv
 from .weighting import SubsetSpec
 from .selectors import METHODS, SelectorConfig, run_selector
 from .regression import PREFERENCE_LAMBDA_GRID, RidgeModel, pairwise_52, preference_lomo, ridge_cv
-from .evaluation import CORRELATION_METRICS, DEFAULT_SIZES, EvalReport, crossval_curve
+from .evaluation import CORRELATION_METRICS, DEFAULT_SIZES, EvalReport, crossval_curves
 from .synth import SynthConfig, gen_benchmark, write_benchmark_files, write_ratings_file
 
 
@@ -181,9 +181,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValidationError("--methods names no method")
-    for m in methods:
-        if methods.count(m) > 1:
-            raise ValidationError(f"--methods names the method {m!r} more than once")
     if args.sizes is None:
         sizes = tuple(s for s in DEFAULT_SIZES if s <= matrix.n_items)
         if not sizes:
@@ -200,19 +197,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     configs = [_selector_config(args, method=m, n=max(sizes)) for m in methods]
     semantic, acoustic = _load_side_embeddings(args, matrix)
 
-    curves = {}
-    for config in configs:
-        curves[config.method] = crossval_curve(
-            matrix, config, sizes, folds=args.folds, repeats=args.repeats,
-            master_seed=args.seed, metric=args.metric,
-            semantic=semantic, acoustic=acoustic, jobs=args.jobs,
-        )
+    curves = crossval_curves(
+        matrix, configs, sizes, folds=args.folds, repeats=args.repeats, master_seed=args.seed,
+        metric=args.metric, semantic=semantic, acoustic=acoustic, jobs=args.jobs,
+    )
     report = EvalReport(
         curves=curves, folds=args.folds, repeats=args.repeats,
         sizes=tuple(sorted(set(sizes))), master_seed=args.seed, metric=args.metric,
         aucc_range=(lo, hi),
     )
-    report.summarize()
     out = Path(args.out)
     _write_json(out / "report.json", report.to_json_dict())
     (out / "curves.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -275,11 +268,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
         models=args.models, tasks=args.tasks, items_per_task=args.items_per_task,
         ability_spread=args.ability_spread, noise=args.noise, seed=args.seed,
     )
+    # every flag is checked before any file is written
+    dims = [d.strip() for d in args.dimensions.split(",")]
+    if not all(dims):
+        raise ValidationError(f"--dimensions has an empty entry in {args.dimensions!r}")
+    for dim in dims:
+        if dims.count(dim) > 1:
+            raise ValidationError(f"--dimensions names {dim!r} more than once")
+    if not 0 <= args.rated_models <= config.models:
+        raise ValidationError(
+            f"--rated-models {args.rated_models} is outside the pool's 0 to {config.models} models"
+        )
+    if not np.isfinite(args.rating_noise) or args.rating_noise < 0:
+        raise ValidationError(f"--rating-noise must be finite and >= 0, got {args.rating_noise}")
+    if args.embedding_dim < 0:
+        raise ValidationError(f"--embedding-dim must be >= 0, got {args.embedding_dim}")
     matrix = gen_benchmark(config)
     out = Path(args.out)
     write_benchmark_files(matrix, out, config, embedding_dim=args.embedding_dim)
     if args.rated_models > 0:
-        dims = [d.strip() for d in args.dimensions.split(",") if d.strip()]
         write_ratings_file(
             matrix, out / "ratings.csv", args.rated_models, dims,
             noise=args.rating_noise, seed=args.seed,

@@ -1,11 +1,11 @@
 """Correlation statistics and the cross-validated meta-evaluation harness.
 
-The harness repeatedly splits the model pool into folds, selects a subset on
-the source models only, scores the held-out models on that subset with the
-method's own prediction rule, and correlates those scores with the held-out
-models' full-pool reference scores. Curves over subset sizes are summarized
-by AUCC (average correlation over a size range) and the smallest sizes
-reaching fixed correlation thresholds.
+The harness repeatedly splits the model pool into folds. On each fold, every
+method selects a subset on the same source models only, scores the held-out
+models on that subset with its own prediction rule, and correlates those
+scores with the held-out models' full-pool reference scores. Curves over
+subset sizes are summarized by AUCC (average correlation over a size range)
+and the smallest sizes reaching fixed correlation thresholds.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _fold_model_splits(
 
 def _run_repeat(
     matrix: ScoreMatrix,
-    config: SelectorConfig,
+    configs: Sequence[SelectorConfig],
     sizes: Sequence[int],
     folds: int,
     master_seed: int,
@@ -189,34 +189,36 @@ def _run_repeat(
     semantic: EmbeddingSet | None,
     acoustic: EmbeddingSet | None,
     repeat: int,
-) -> list[list[tuple[float, bool]]]:
-    """One repeat: per size, the (value, degenerate) pairs for every fold. The
+) -> list[list[list[tuple[float, bool]]]]:
+    """One repeat: per method and size, the (value, degenerate) pairs for every
+    fold. Each fold's source submatrix is built once for all methods; a
     method's prepare step runs once per fold, select and score once per size."""
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([master_seed, repeat]))
     splits = _fold_model_splits(matrix.n_models, folds, shuffle_rng)
     corr = _FLAGGED[metric]
-    prepare, select, score = METHODS[config.method]
-    out: list[list[tuple[float, bool]]] = [[] for _ in sizes]
+    out: list[list[list[tuple[float, bool]]]] = [[[] for _ in sizes] for _ in configs]
     for fold_idx, (source_rows, held_rows) in enumerate(splits):
         seeds = np.random.SeedSequence([master_seed, repeat, fold_idx]).generate_state(1)
-        fold_config = replace(config, seed=int(seeds[0]))
         source = matrix.submatrix([matrix.model_ids[i] for i in source_rows])
-        where = f"repeat={repeat}, fold={fold_idx}"
-        try:
-            prepared = prepare(source, fold_config, semantic, acoustic)
-            for size_idx, n in enumerate(sizes):
-                where = f"n={n}, repeat={repeat}, fold={fold_idx}"
-                selection = select(source, replace(fold_config, n=n), prepared)
-                predicted = score(matrix, held_rows, selection)
-                out[size_idx].append(corr(predicted, ref[held_rows]))
-        except ValidationError as exc:
-            raise ValidationError(f"{config.method} failed at {where}: {exc}") from exc
+        for config, per_size in zip(configs, out):
+            prepare, select, score = METHODS[config.method]
+            fold_config = replace(config, seed=int(seeds[0]))
+            where = f"repeat={repeat}, fold={fold_idx}"
+            try:
+                prepared = prepare(source, fold_config, semantic, acoustic)
+                for size_idx, n in enumerate(sizes):
+                    where = f"n={n}, repeat={repeat}, fold={fold_idx}"
+                    selection = select(source, replace(fold_config, n=n), prepared)
+                    predicted = score(matrix, held_rows, selection)
+                    per_size[size_idx].append(corr(predicted, ref[held_rows]))
+            except ValidationError as exc:
+                raise ValidationError(f"{config.method} failed at {where}: {exc}") from exc
     return out
 
 
-def crossval_curve(
+def crossval_curves(
     matrix: ScoreMatrix,
-    config: SelectorConfig,
+    configs: Sequence[SelectorConfig],
     sizes: Sequence[int],
     folds: int = 3,
     repeats: int = 100,
@@ -225,14 +227,20 @@ def crossval_curve(
     semantic: EmbeddingSet | None = None,
     acoustic: EmbeddingSet | None = None,
     jobs: int = 1,
-) -> CorrelationCurve:
-    """folds x repeats held-out evaluations of one selector per subset size.
+) -> dict[str, CorrelationCurve]:
+    """folds x repeats held-out evaluations of each selector per subset size,
+    one curve per method in the order of configs.
 
     Each repeat shuffles the models into folds with its own seed derived from
-    master_seed, so results are identical for any worker count.
+    master_seed, so results are identical for any worker count, and a
+    method's curve does not depend on the other methods listed.
     """
     if metric not in CORRELATION_METRICS:
         raise ValidationError(f"unknown correlation metric {metric!r}")
+    methods = [config.method for config in configs]
+    for method in methods:
+        if methods.count(method) > 1:
+            raise ValidationError(f"the methods name {method!r} more than once")
     if folds < 2:
         raise ValidationError("need at least 2 folds")
     if matrix.n_models < 2 * folds:  # every held-out fold needs 2 models to correlate
@@ -252,7 +260,7 @@ def crossval_curve(
 
     ref = reference_scores(matrix)
     run = partial(
-        _run_repeat, matrix, config, sizes, folds, master_seed, metric, ref, semantic, acoustic
+        _run_repeat, matrix, configs, sizes, folds, master_seed, metric, ref, semantic, acoustic
     )
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -260,22 +268,18 @@ def crossval_curve(
     else:
         per_repeat = [run(r) for r in range(repeats)]
 
-    points = []
-    for size_idx, n in enumerate(sizes):
-        pairs = [pair for rep in per_repeat for pair in rep[size_idx]]
-        values = np.asarray([p[0] for p in pairs])
-        degenerate = sum(p[1] for p in pairs)
-        sem = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
-        points.append(
-            CurvePoint(
-                n=n,
-                mean_r=float(values.mean()),
-                sem=sem,
-                values=tuple(float(v) for v in values),
-                degenerate=degenerate,
-            )
-        )
-    return CorrelationCurve(metric, points)
+    curves = {}
+    for method_idx, config in enumerate(configs):
+        points = []
+        for size_idx, n in enumerate(sizes):
+            pairs = [pair for rep in per_repeat for pair in rep[method_idx][size_idx]]
+            values = np.asarray([p[0] for p in pairs])
+            degenerate = sum(p[1] for p in pairs)
+            sem = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+            points.append(CurvePoint(n=n, mean_r=float(values.mean()), sem=sem,
+                                     values=tuple(map(float, values)), degenerate=degenerate))
+        curves[config.method] = CorrelationCurve(metric, points)
+    return curves
 
 
 @dataclass

@@ -34,8 +34,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if min(self.models, self.tasks, self.items_per_task, self.latent_dim) < 1:
             raise ValidationError("all synth counts must be positive")
-        if self.noise < 0:
-            raise ValidationError("noise must be >= 0")
+        if not np.isfinite(self.noise) or self.noise < 0:
+            raise ValidationError(f"noise must be finite and >= 0, got {self.noise}")
+        if not np.isfinite(self.ability_spread):
+            raise ValidationError(f"ability_spread must be finite, got {self.ability_spread}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
 

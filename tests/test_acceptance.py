@@ -19,7 +19,7 @@ from coreselect.evaluation import (
     CurvePoint,
     EvalReport,
     aucc,
-    crossval_curve,
+    crossval_curves,
     kendall,
     n_threshold,
     pearson,
@@ -212,10 +212,10 @@ def test_criterion_07_selector_quality_property():
     matrix = gen_benchmark(cfg)
     means = {}
     for method in ("random_balanced", "anchor_points"):
-        curve = crossval_curve(
-            matrix, SelectorConfig(method, n=50, seed=0), sizes=(20, 50),
+        curve = crossval_curves(
+            matrix, [SelectorConfig(method, n=50, seed=0)], sizes=(20, 50),
             folds=3, repeats=100, master_seed=123,
-        )
+        )[method]
         means[method] = {p.n: p.mean_r for p in curve.points}
         assert all(len(p.values) == 300 for p in curve.points)
     anchor20 = means["anchor_points"][20]

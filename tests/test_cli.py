@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import shlex
@@ -12,7 +13,9 @@ import pytest
 
 from coreselect.cli import _canonical_json, _load_bundle, _pool_json, main
 from coreselect.embeddings import load_embedding_csv
+from coreselect.evaluation import crossval_curves
 from coreselect.pool import ItemRecord, ScoreMatrix, load_ratings
+from coreselect.selectors import SelectorConfig
 
 
 def run_cli(*argv):
@@ -257,6 +260,51 @@ def test_evaluate_repeated_method_exit_1(tmp_path, capsys, valid_inputs):
     assert err["kind"] == "validation"
     assert "'random_balanced'" in err["error"]
     assert not (tmp_path / "ev").exists()
+
+
+def test_evaluate_builds_each_fold_and_worker_pool_once(tmp_path, monkeypatch, valid_inputs):
+    methods = ("random_balanced", "variance_top", "anchor_points")
+    built = []
+    real_submatrix = ScoreMatrix.submatrix
+
+    def counting_submatrix(self, model_ids):
+        built.append(tuple(model_ids))
+        return real_submatrix(self, model_ids)
+
+    monkeypatch.setattr(ScoreMatrix, "submatrix", counting_submatrix)
+    configs = [SelectorConfig(m, n=8, seed=0) for m in methods]
+    crossval_curves(_load_bundle(valid_inputs[1]), configs, sizes=(4, 8), folds=3, repeats=2,
+                    master_seed=5)
+    assert len(built) == 3 * 2  # folds x repeats, shared by the three methods
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    assert run_cli(
+        "evaluate", "--bundle", valid_inputs[1], "--methods", ",".join(methods),
+        "--sizes", "4,8", "--folds", 3, "--repeats", 2, "--seed", 5, "--jobs", 2,
+        "--out", tmp_path / "ev",
+    ) == 0
+    assert pools == [{"max_workers": 2}]
+
+
+def test_evaluate_failure_names_the_failing_method_and_fold(tmp_path, capsys, valid_inputs):
+    out = tmp_path / "ev"
+    assert run_cli(
+        "evaluate", "--bundle", valid_inputs[1], "--methods", "random_balanced,semantic_anchor",
+        "--sizes", "8", "--folds", 2, "--repeats", 2, "--seed", 5, "--out", out,
+    ) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "kind": "validation",
+        "error": "semantic_anchor failed at repeat=0, fold=0: "
+                 "semantic_anchor requires semantic embeddings",
+    }
+    assert not out.exists()
 
 
 def test_evaluate_default_sizes_are_those_that_fit_the_pool(tmp_path):
@@ -857,6 +905,36 @@ def test_negative_seed_exits_1(tmp_path, capsys, valid_inputs, command):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["kind"] == "validation"
     assert "seed must be >= 0" in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--noise", "inf"], "noise must be finite and >= 0, got inf"),
+    (["--noise", "nan"], "noise must be finite and >= 0, got nan"),
+    (["--ability-spread", "inf"], "ability_spread must be finite, got inf"),
+    (["--rated-models", 3, "--rating-noise", "inf"], "--rating-noise must be finite"),
+    (["--rated-models", 3, "--rating-noise", "-0.5"], "--rating-noise must be finite"),
+    (["--embedding-dim", -2], "--embedding-dim must be >= 0, got -2"),
+    (["--rated-models", 3, "--dimensions", ""], "--dimensions has an empty entry"),
+    (["--rated-models", 3, "--dimensions", "overall,,quality"], "--dimensions has an empty entry"),
+    (["--rated-models", 3, "--dimensions", "overall, overall"],
+     "--dimensions names 'overall' more than once"),
+    (["--rated-models", 30], "--rated-models 30 is outside the pool's 0 to 4 models"),
+    (["--rated-models", -1], "--rated-models -1 is outside the pool's 0 to 4 models"),
+], ids=["noise_inf", "noise_nan", "ability_spread_inf", "rating_noise_inf",
+        "rating_noise_negative", "embedding_dim_negative", "dimensions_empty",
+        "dimensions_empty_entry", "dimensions_repeated", "rated_models_30",
+        "rated_models_negative"])
+def test_synth_rejects_bad_flags_before_writing(tmp_path, capsys, flags, fragment):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("synth", "--models", 4, "--tasks", 2, "--items-per-task", 3, *flags,
+                   "--seed", 1, "--out", out) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["kind"] == "validation"
+    assert fragment in err["error"]
     assert not out.exists()
 
 

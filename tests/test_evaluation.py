@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from coreselect.evaluation import (
     CurvePoint,
     EvalReport,
     aucc,
-    crossval_curve,
+    crossval_curves,
     kendall,
     kendall_flagged,
     n_threshold,
@@ -198,10 +199,8 @@ def test_pearson_clamped_when_rounding_overshoots_one():
 
 def test_crossval_evaluation_count(rng):
     m = random_matrix(rng, 6, [10, 10])
-    curve = crossval_curve(
-        m, SelectorConfig("random_balanced", n=5, seed=0), sizes=(5, 8),
-        folds=3, repeats=4, master_seed=7,
-    )
+    cfg = SelectorConfig("random_balanced", n=5, seed=0)
+    curve = crossval_curves(m, [cfg], sizes=(5, 8), folds=3, repeats=4, master_seed=7)[cfg.method]
     assert curve.sizes == (5, 8)
     for p in curve.points:
         assert len(p.values) == 12  # folds x repeats
@@ -209,36 +208,44 @@ def test_crossval_evaluation_count(rng):
 
 def test_crossval_whole_pool_single_task_is_exact(rng):
     m = random_matrix(rng, 6, [12])
-    curve = crossval_curve(
-        m, SelectorConfig("anchor_points", n=12, seed=0), sizes=(12,),
-        folds=3, repeats=2, master_seed=1,
-    )
+    cfg = SelectorConfig("anchor_points", n=12, seed=0)
+    curve = crossval_curves(m, [cfg], sizes=(12,), folds=3, repeats=2, master_seed=1)[cfg.method]
     assert curve.points[0].mean_r == pytest.approx(1.0, abs=1e-12)
 
 
 def test_crossval_deterministic(rng):
     m = random_matrix(rng, 6, [8, 8])
     cfg = SelectorConfig("anchor_points", n=6, seed=0)
-    a = crossval_curve(m, cfg, sizes=(4, 6), folds=2, repeats=3, master_seed=5)
-    b = crossval_curve(m, cfg, sizes=(4, 6), folds=2, repeats=3, master_seed=5)
-    assert a.points == b.points
+    a = crossval_curves(m, [cfg], sizes=(4, 6), folds=2, repeats=3, master_seed=5)
+    b = crossval_curves(m, [cfg], sizes=(4, 6), folds=2, repeats=3, master_seed=5)
+    assert a[cfg.method].points == b[cfg.method].points
 
 
 def test_crossval_jobs_do_not_change_results(rng):
-    m = random_matrix(rng, 6, [8, 8])
+    m = random_matrix(rng, 8, [8, 8])
+    run = partial(crossval_curves, m, sizes=(4, 6), folds=2, repeats=4, master_seed=5)
     cfg = SelectorConfig("random_balanced", n=6, seed=0)
-    serial = crossval_curve(m, cfg, sizes=(4, 6), folds=2, repeats=4, master_seed=5)
-    parallel = crossval_curve(
-        m, cfg, sizes=(4, 6), folds=2, repeats=4, master_seed=5, jobs=2
-    )
-    assert serial.points == parallel.points
+    assert run([cfg])[cfg.method].points == run([cfg], jobs=2)[cfg.method].points
+    # a learn method, irt_anchor and a K-Means method share each fold: every
+    # curve equals the method's one-method curve, in either order
+    mixed = [
+        SelectorConfig("random_sampling_learn", n=6, seed=0, n_search=3),
+        SelectorConfig("irt_anchor", n=6, seed=0, irt_dim=2, irt_epochs=40),
+        SelectorConfig("anchor_points", n=6, seed=0),
+    ]
+    alone = {c.method: run([c])[c.method].points for c in mixed}
+    for configs in (mixed, mixed[::-1]):
+        for jobs in (1, 2):
+            curves = run(configs, jobs=jobs)
+            assert list(curves) == [c.method for c in configs]
+            assert {method: curve.points for method, curve in curves.items()} == alone
 
 
 def test_crossval_size_exceeding_pool_rejected(rng):
     m = random_matrix(rng, 4, [5])
     with pytest.raises(ValidationError):
-        crossval_curve(m, SelectorConfig("random_balanced", n=5, seed=0),
-                       sizes=(9,), folds=2, repeats=1, master_seed=0)
+        crossval_curves(m, [SelectorConfig("random_balanced", n=5, seed=0)],
+                        sizes=(9,), folds=2, repeats=1, master_seed=0)
 
 
 def test_crossval_rejects_folds_holding_out_one_model(rng, monkeypatch):
@@ -254,11 +261,11 @@ def test_crossval_rejects_folds_holding_out_one_model(rng, monkeypatch):
         with pytest.raises(ValidationError, match=(
                 rf"^{folds} folds need at least {2 * folds} models \(2 held out per fold\), "
                 rf"got {models}$")):
-            crossval_curve(m, cfg, sizes=(3,), folds=folds, repeats=1, master_seed=0)
+            crossval_curves(m, [cfg], sizes=(3,), folds=folds, repeats=1, master_seed=0)
     monkeypatch.undo()
     # 2 models in every held-out fold is enough
-    curve = crossval_curve(random_matrix(rng, 6, [6]), cfg, sizes=(3,), folds=3, repeats=1)
-    assert len(curve.points[0].values) == 3
+    curves = crossval_curves(random_matrix(rng, 6, [6]), [cfg], sizes=(3,), folds=3, repeats=1)
+    assert len(curves[cfg.method].points[0].values) == 3
 
 
 def test_crossval_learn_and_irt_paths(rng):
@@ -268,7 +275,7 @@ def test_crossval_learn_and_irt_paths(rng):
         ("irt_anchor", {"irt_dim": 2, "irt_epochs": 40}),
     ):
         cfg = SelectorConfig(method, n=5, seed=0, n_search=2, **extra)
-        curve = crossval_curve(m, cfg, sizes=(5,), folds=2, repeats=2, master_seed=3)
+        curve = crossval_curves(m, [cfg], sizes=(5,), folds=2, repeats=2, master_seed=3)[method]
         assert len(curve.points[0].values) == 4
         assert all(-1.0 <= v <= 1.0 for v in curve.points[0].values)
 
@@ -286,7 +293,7 @@ def test_crossval_fits_irt_once_per_fold(rng, monkeypatch):
     monkeypatch.setattr(irt_mod, "fit_m2pl", counting_fit)
     m = random_matrix(rng, 8, [6, 6])
     cfg = SelectorConfig("irt_anchor", n=6, seed=0, irt_dim=2, irt_epochs=40)
-    crossval_curve(m, cfg, sizes=(3, 4, 6), folds=2, repeats=3, master_seed=1)
+    crossval_curves(m, [cfg], sizes=(3, 4, 6), folds=2, repeats=3, master_seed=1)
     assert len(fits) == 2 * 3  # folds x repeats, not folds x repeats x sizes
 
 
@@ -294,7 +301,7 @@ def test_crossval_selector_failure_carries_fold_context(rng):
     m = random_matrix(rng, 6, [6, 6])  # 2 folds -> 3 source models, learn needs 4
     cfg = SelectorConfig("random_sampling_learn", n=5, seed=0)
     with pytest.raises(ValidationError, match="repeat=0, fold=0"):
-        crossval_curve(m, cfg, sizes=(5,), folds=2, repeats=1, master_seed=3)
+        crossval_curves(m, [cfg], sizes=(5,), folds=2, repeats=1, master_seed=3)
 
 
 def test_report_summaries_render_missing_thresholds():
