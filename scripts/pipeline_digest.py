@@ -23,7 +23,10 @@ selects at n=20 with ``--irt-dim 1`` and with ``--irt-epochs 37 --irt-lr
 evaluate of every method at sizes 10,20,50,200 (3 folds x 2 repeats, 20
 search draws), once with --jobs 1 and once with --jobs 2, and once more with
 --jobs 2 and the methods listed in reverse order, whose curves must not
-depend on which methods ran before them on the same fold;
+depend on which methods ran before them on the same fold; evaluate of the
+five K-Means methods at sizes given unsorted and repeated (200,10,50,10),
+whose folds share one seed order for every size, and of semantic_anchor and
+acoustic_anchor with ``--pca-dim 1``, which clusters one-column points;
 regress with lomo and pairwise52 on every rated dimension for every subset;
 export of every subset with its lomo regressors.
 
@@ -46,7 +49,9 @@ first item, leaving 12 distinct score columns among 24 items. anchor_points
 selects at n=24 and n=8 put the two tie rules of ``selectors.weighted_kmeans``
 under the digest: at n=24 the k-means++ seeding mass reaches zero after 12
 seeds, so the rest take the first unused row, and at n=8 clusters hold
-identical items, whose anchor is the lowest row among the exact minima.
+identical items, whose anchor is the lowest row among the exact minima. An
+anchor_points and irt_anchor evaluate at sizes 24,8,2 (3 folds x 2 repeats)
+draws each fold's seed order through the zero-mass rule too.
 """
 
 from __future__ import annotations
@@ -95,6 +100,14 @@ def run_pipeline(cli_main, methods, root: Path) -> None:
     _run(cli_main, "evaluate", "--bundle", bundle, "--methods", ",".join(reversed(methods)),
          "--sizes", "10,20,50,200", "--folds", 3, "--repeats", 2, "--n-search", 20,
          "--seed", SEED, "--jobs", 2, *embeddings, "--out", root / "evaluate_reversed")
+    kmeans = ("irt_anchor", "anchor_points", "semantic_anchor", "acoustic_anchor",
+              "combined_anchor")
+    _run(cli_main, "evaluate", "--bundle", bundle, "--methods", ",".join(kmeans),
+         "--sizes", "200,10,50,10", "--folds", 3, "--repeats", 2, "--seed", SEED,
+         *embeddings, "--out", root / "evaluate_kmeans")
+    _run(cli_main, "evaluate", "--bundle", bundle, "--methods", ",".join(kmeans[2:4]),
+         "--sizes", "200,10,50,10", "--folds", 3, "--repeats", 2, "--seed", SEED,
+         "--pca-dim", 1, *embeddings, "--out", root / "evaluate_kmeans_pca1")
     for method in methods:
         subset = root / "select" / method / "subset.json"
         regressors = []
@@ -181,6 +194,9 @@ def run_duplicate_pool(cli_main, root: Path) -> None:
     for n in (24, 8):
         _run(cli_main, "select", "--bundle", bundle, "--method", "anchor_points", "--n", n,
              "--seed", SEED, "--out", root / "duplicates" / f"select_n{n}")
+    _run(cli_main, "evaluate", "--bundle", bundle, "--methods", "anchor_points,irt_anchor",
+         "--sizes", "24,8,2", "--folds", 3, "--repeats", 2, "--seed", SEED,
+         "--out", root / "duplicates" / "evaluate")
 
 
 def main() -> None:

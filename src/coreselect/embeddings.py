@@ -8,7 +8,7 @@ the irt module, and the combined concatenation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -27,6 +27,7 @@ class EmbeddingSet:
     kind: str
     item_ids: tuple[str, ...]
     vectors: np.ndarray  # N x dim
+    _pca: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in EMBEDDING_KINDS:
@@ -43,6 +44,13 @@ class EmbeddingSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    def pca(self, k: int, name: str) -> np.ndarray:
+        """pca_reduce(self.vectors, k, name), computed once per k and read-only."""
+        if k not in self._pca:
+            self._pca[k] = pca_reduce(self.vectors, k, name)
+            self._pca[k].flags.writeable = False
+        return self._pca[k]
 
 
 def pca_reduce(vectors: np.ndarray, k: int, name: str = "embedding") -> np.ndarray:
@@ -130,8 +138,8 @@ def assemble_combined(
     _check_alignment(acoustic, matrix, "acoustic")
     _check_alignment(semantic, matrix, "semantic")
     k = matrix.n_models
-    ac = minmax_scale(pca_reduce(acoustic.vectors, k, "acoustic embedding"))
-    se = minmax_scale(pca_reduce(semantic.vectors, k, "semantic embedding"))
+    ac = minmax_scale(acoustic.pca(k, "acoustic embedding"))
+    se = minmax_scale(semantic.pca(k, "semantic embedding"))
     perf = matrix.values.T
     meta = np.asarray(
         [[float(it.needs_audio_in), float(it.needs_audio_out)] for it in matrix.items]

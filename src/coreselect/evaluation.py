@@ -192,7 +192,8 @@ def _run_repeat(
 ) -> list[list[list[tuple[float, bool]]]]:
     """One repeat: per method and size, the (value, degenerate) pairs for every
     fold. Each fold's source submatrix is built once for all methods; a
-    method's prepare step runs once per fold, select and score once per size."""
+    method's prepare step runs once per fold, with n the largest size, and
+    select and score once per size."""
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([master_seed, repeat]))
     splits = _fold_model_splits(matrix.n_models, folds, shuffle_rng)
     corr = _FLAGGED[metric]
@@ -205,7 +206,7 @@ def _run_repeat(
             fold_config = replace(config, seed=int(seeds[0]))
             where = f"repeat={repeat}, fold={fold_idx}"
             try:
-                prepared = prepare(source, fold_config, semantic, acoustic)
+                prepared = prepare(source, replace(fold_config, n=sizes[-1]), semantic, acoustic)
                 for size_idx, n in enumerate(sizes):
                     where = f"n={n}, repeat={repeat}, fold={fold_idx}"
                     selection = select(source, replace(fold_config, n=n), prepared)

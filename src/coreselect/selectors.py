@@ -6,7 +6,8 @@ space with task-weighted K-Means and return the nearest real item to each
 centroid, weighted by its cluster's share of the task-balance mass.
 Learn-style methods additionally return the fitted score regressor.
 METHODS declares each method once as three steps: prepare(matrix, config,
-semantic, acoustic) does the work that does not depend on the subset size;
+semantic, acoustic) does the work that does not depend on the subset size,
+with config.n the largest size that will be selected;
 select(matrix, config, prepared) returns (subset, regressor or None, IrtModel
 or None); score(matrix, heldout_rows, selection) is the method's own
 prediction for those rows of the full matrix.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .pool import ScoreMatrix
-from .embeddings import EmbeddingSet, assemble_combined, pca_reduce, performance_embeddings
+from .embeddings import EmbeddingSet, assemble_combined, performance_embeddings
 from .weighting import SubsetSpec, balance_weights, reference_scores
 from .weighting import apw_scores, renormalized_balance_scores
 from .regression import RidgeModel, _lambda_grid, _ridge_cv_stack, ridge_cv
@@ -141,10 +142,11 @@ def _kmeanspp_seed(
     sample with replacement, on q = mass / total: cdf = q.cumsum(), cdf /=
     cdf[-1], and the row cdf.searchsorted(rng.random(), side="right"). It
     takes the same row from the same stream without choice's per-call checks
-    of q; a total that is not finite raises a ValidationError instead. The
-    one-centre distance is max((‖p‖² + ‖c‖²) − (2p)·c, 0) with ‖c‖² =
-    norms[c], which is (c**2).sum() for C-contiguous points, and (2p)·c one
-    matmul by 2.0 * points[c]. Mass, q and cdf reuse the distance buffers."""
+    of q. A total that is not finite at draw j stops the seeding, and the j
+    seeds drawn before it are returned. The one-centre distance is
+    max((‖p‖² + ‖c‖²) − (2p)·c, 0) with ‖c‖² = norms[c], which is
+    (c**2).sum() for C-contiguous points, and (2p)·c one matmul by
+    2.0 * points[c]. Mass, q and cdf reuse the distance buffers."""
     n = points.shape[0]
     chosen = np.empty(k, dtype=np.intp)
     d2, new_d2, gram = np.full(n, np.inf), np.empty(n), np.empty((n, 1))
@@ -153,7 +155,7 @@ def _kmeanspp_seed(
     for j in range(k):
         total = mass.sum()
         if not math.isfinite(total):
-            raise ValidationError("k-means++ seeding mass is not finite; points or weights too large")
+            return chosen[:j]
         if total <= 0.0:
             used = np.zeros(n, dtype=bool)
             used[chosen[:j]] = True
@@ -175,6 +177,41 @@ def _kmeanspp_seed(
     return chosen
 
 
+class _KMeansInput:
+    """Weighted K-Means input, checked once for every k: C-contiguous float64
+    points, their weights and squared norms (p**2).sum(), and the K-Means++
+    seed order of `seed`, drawn on first use for the largest k asked so far,
+    and for at least `upto` seeds. Each draw depends only on the draws before
+    it, so the seeds of any k are the first k rows of that order: the rows
+    _kmeanspp_seed draws for k alone. A seeding that stops at draw j fails
+    every k above j, as it would alone."""
+
+    def __init__(self, points: np.ndarray, weights: np.ndarray, seed: int, upto: int) -> None:
+        self.points = np.ascontiguousarray(points, dtype=np.float64)
+        if self.points.ndim != 2:
+            raise ValidationError("points must be a 2-D array")
+        self.weights = w = np.asarray(weights, dtype=np.float64)
+        n = self.points.shape[0]
+        if w.shape != (n,) or not ((w > 0.0) & (w < np.inf)).all():
+            raise ValidationError("weights must be finite, positive and aligned with points")
+        if not 1 <= upto <= n:
+            raise ValidationError(f"k={upto} outside [1, {n}]")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.norms = (self.points**2).sum(axis=1)
+        if not np.isfinite(self.norms).all():
+            raise ValidationError("points must be finite, with squared norms below the float64 maximum")
+        self.seed, self.upto, self._asked = seed, upto, 0
+
+    def seeds(self, k: int) -> np.ndarray:
+        if k > self._asked:
+            self._asked = max(k, self.upto)
+            rng = np.random.default_rng(self.seed)
+            self._order = _kmeanspp_seed(self.points, self.norms, self.weights, self._asked, rng)
+        if self._order.size < k:
+            raise ValidationError("k-means++ seeding mass is not finite; points or weights too large")
+        return self._order[:k]
+
+
 def _own_sq_dists(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.ndarray:
     """((p − c)**2).sum() from every point to its own centroid."""
     diffs = points - centroids[assign]
@@ -182,18 +219,33 @@ def _own_sq_dists(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray)
 
 
 def _weighted_means(
-    wpoints: np.ndarray, w: np.ndarray, assign: np.ndarray, counts: np.ndarray, out: np.ndarray
+    wcols: np.ndarray, w: np.ndarray, assign: np.ndarray, counts: np.ndarray, out: np.ndarray
 ) -> None:
     """Each cluster's (w·p).sum(axis=0) / w.sum() over its rows in ascending
-    order, into out; wpoints holds the rows w·p. One stable sort of the
-    assignment lays each cluster's rows out as one slice; int16 keys, which
-    numpy radix-sorts to the same order, are used whenever the cluster count fits."""
-    keys = assign.astype(np.int16) if counts.size <= np.iinfo(np.int16).max else assign
-    order = np.argsort(keys, kind="stable")
-    ws, wps = w[order], np.take(wpoints, order, axis=0)
-    stops = np.cumsum(counts).tolist()
-    for c, (a, b) in enumerate(zip([0] + stops[:-1], stops)):
-        out[c] = wps[a:b].sum(axis=0) / ws[a:b].sum()
+    order, into out; wcols holds the columns of w·p, one per row (d × n).
+
+    numpy sums a C-contiguous block of two or more columns down its rows in
+    order, starting from 0.0, which is the order np.bincount adds its weights
+    in, so each such column takes one bincount. A 1-D sum, which the weight
+    sums and a one-column block are, adds in order from 0.0 below 8 terms and
+    pairwise from 8 on; clusters of 8 or more rows take those sums slice by
+    slice after one stable sort of the assignment, whose int16 keys numpy
+    radix-sorts to the same order whenever the cluster count fits."""
+    k = counts.size
+    totals = np.bincount(assign, weights=w, minlength=k)
+    for j, col in enumerate(wcols):
+        out[:, j] = np.bincount(assign, weights=col, minlength=k)
+    big = np.flatnonzero(counts >= 8)
+    if big.size:
+        keys = assign.astype(np.int16) if k <= np.iinfo(np.int16).max else assign
+        order = np.argsort(keys, kind="stable")
+        ws, col = w[order], wcols[0][order] if len(wcols) == 1 else None
+        stops = np.cumsum(counts)
+        for c, a, b in zip(big.tolist(), (stops - counts)[big].tolist(), stops[big].tolist()):
+            totals[c] = ws[a:b].sum()
+            if col is not None:
+                out[c, 0] = col[a:b].sum()
+    out /= totals[:, None]
 
 
 def _anchor_rows(d2: np.ndarray, assign: np.ndarray) -> np.ndarray:
@@ -259,6 +311,7 @@ def weighted_kmeans(
     k: int,
     seed: int,
     max_iter: int = KMEANS_MAX_ITER,
+    prepared: _KMeansInput | None = None,
 ) -> ClusterResult:
     """Lloyd iterations with weight-aware centroid updates.
 
@@ -281,6 +334,9 @@ def weighted_kmeans(
 
     Non-finite points or weights, points whose squared norm overflows, and a
     seeding mass or final distance that is not finite raise a ValidationError.
+    prepared, when given, is a _KMeansInput of these points, weights and
+    seed, shared by several k: its checks, norms and seed order stand in for
+    this call's own.
 
     When n·k reaches KMEANS_BOUNDS_MIN_NK, a Lloyd step recomputes distances
     only for the points whose cluster could change (Hamerly, "Making k-means
@@ -309,19 +365,11 @@ def weighted_kmeans(
     12–28% at 4,000–10,000 points and a third at 16,680 points with k = 40–60;
     at 1,000 points with k = 200 they still cost 3–5%.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValidationError("points must be a 2-D array")
-    w = np.asarray(weights, dtype=np.float64)
+    data = prepared or _KMeansInput(points, weights, seed, k)
+    points, w, norms = data.points, data.weights, data.norms
     n = points.shape[0]
-    if w.shape != (n,) or not ((w > 0.0) & (w < np.inf)).all():
-        raise ValidationError("weights must be finite, positive and aligned with points")
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} outside [1, {n}]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = (points**2).sum(axis=1)
-    if not np.isfinite(norms).all():
-        raise ValidationError("points must be finite, with squared norms below the float64 maximum")
 
     if k > 1 and bool((points == points[0]).all()):
         # degenerate pool: first k rows become singleton anchors, the rest join cluster 0
@@ -330,9 +378,8 @@ def weighted_kmeans(
         centroids = np.repeat(points[0][None, :], k, axis=0)
         return ClusterResult(assign, centroids, np.arange(k, dtype=np.intp), 0.0, (0.0,))
 
-    rng = np.random.default_rng(seed)
-    wpoints = w[:, None] * points
-    centroids = points[_kmeanspp_seed(points, norms, w, k, rng)].copy()
+    centroids = points[data.seeds(k)]
+    wcols = np.multiply(w, points.T, out=np.empty(points.shape[::-1]))
     d2, gram = np.empty((n, k)), np.empty((n, k))
     assign = np.full(n, -1, dtype=np.intp)
     trace: list[float] = []
@@ -373,7 +420,7 @@ def weighted_kmeans(
         if converged:
             break
         previous = centroids.copy()
-        _weighted_means(wpoints, w, assign, counts, centroids)
+        _weighted_means(wcols, w, assign, counts, centroids)
         own = _own_sq_dists(points, centroids, assign)
         trace.append(float((w * own).sum()))
         if bounded:
@@ -482,26 +529,49 @@ def select_difficulty_stratified(
     return SubsetSpec.uniform("difficulty_stratified", ids, seed)
 
 
+@dataclass
+class _AnchorFold:
+    """An anchor method's prepared fold: the embedding space it clusters, the
+    fitted IrtModel (irt_anchor only), the largest subset size n asked of the
+    fold and, from the fold's first select on, the K-Means input every size
+    shares: the points and balance weights in item_id order, their norms and
+    the seed order for n."""
+
+    space: EmbeddingSet
+    fitted: irt_mod.IrtModel | None
+    n: int
+    kmeans: _KMeansInput | None = None
+
+
 def select_anchor_points(
     embeddings: EmbeddingSet,
     matrix: ScoreMatrix,
     n: int,
     seed: int,
     method_name: str = "anchor_points",
+    prepared: _AnchorFold | None = None,
 ) -> tuple[SubsetSpec, ClusterResult]:
     """Cluster the embedding space into n task-weighted clusters and return
     each cluster's nearest item with the cluster's balance-weight mass.
 
     Items are processed in item_id order so every tie (anchor choice, the
     degenerate identical-pool rule) resolves toward the lowest item_id.
+    prepared, the _AnchorFold of these embeddings, keeps the K-Means input
+    built by the first size of a fold for the sizes after it.
     """
     if embeddings.item_ids != matrix.item_ids:
         raise ValidationError("embedding rows do not match the pool")
     _require_items(matrix, n)
-    b = balance_weights(matrix)
     by_id = matrix.id_order
-    result = weighted_kmeans(embeddings.vectors[by_id], b[by_id], n, seed)
-    cluster_w = result.cluster_weight(b[by_id])
+    if prepared is None:
+        prepared = _AnchorFold(embeddings, None, n)
+    if prepared.kmeans is None or prepared.kmeans.seed != seed:
+        weights = balance_weights(matrix)[by_id]
+        upto = min(prepared.n, matrix.n_items)
+        prepared.kmeans = _KMeansInput(embeddings.vectors[by_id], weights, seed, upto)
+    data = prepared.kmeans
+    result = weighted_kmeans(data.points, data.weights, n, seed, prepared=data)
+    cluster_w = result.cluster_weight(data.weights)
     entries = tuple(
         (matrix.item_ids[by_id[row]], float(cw))
         for row, cw in zip(result.anchor_rows, cluster_w)
@@ -596,11 +666,11 @@ def _prepare_irt_anchor(matrix, config, semantic, acoustic):
     fitted = irt_mod.fit_m2pl(
         irt_mod.binarize(matrix), config.irt_dim, config.irt_epochs, config.irt_lr, config.seed
     )
-    return irt_mod.item_embeddings(fitted), fitted
+    return _AnchorFold(irt_mod.item_embeddings(fitted), fitted, config.n)
 
 
 def _prepare_anchor_points(matrix, config, semantic, acoustic):
-    return performance_embeddings(matrix), None
+    return _AnchorFold(performance_embeddings(matrix), None, config.n)
 
 
 def _prepare_pca_anchor(kind, matrix, config, semantic, acoustic):
@@ -609,22 +679,21 @@ def _prepare_pca_anchor(kind, matrix, config, semantic, acoustic):
     embeddings = semantic if kind == "semantic" else acoustic
     if embeddings is None:
         raise ValidationError(f"{config.method} requires {kind} embeddings")
-    reduced = pca_reduce(embeddings.vectors, min(config.pca_dim, embeddings.dim),
-                         f"{kind} embedding")
-    return EmbeddingSet(kind, embeddings.item_ids, reduced), None
+    reduced = embeddings.pca(min(config.pca_dim, embeddings.dim), f"{kind} embedding")
+    return _AnchorFold(EmbeddingSet(kind, embeddings.item_ids, reduced), None, config.n)
 
 
 def _prepare_combined_anchor(matrix, config, semantic, acoustic):
     if semantic is None or acoustic is None:
         raise ValidationError(f"{config.method} requires semantic and acoustic embeddings")
-    return assemble_combined(acoustic, semantic, matrix), None
+    return _AnchorFold(assemble_combined(acoustic, semantic, matrix), None, config.n)
 
 
 def _select_anchors(matrix, config, prepared):
     _require_models(matrix, 2, f"{config.method} selection")
-    space, fitted = prepared
-    subset, _ = select_anchor_points(space, matrix, config.n, config.seed, config.method)
-    return subset, None, fitted
+    subset, _ = select_anchor_points(prepared.space, matrix, config.n, config.seed,
+                                     config.method, prepared)
+    return subset, None, prepared.fitted
 
 
 def _score_balanced(matrix, heldout_rows, selection) -> np.ndarray:

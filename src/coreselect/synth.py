@@ -94,12 +94,15 @@ def gen_benchmark(config: SynthConfig, abilities: np.ndarray | None = None) -> S
     """Continuous [0,1] score pool whose reference ranking follows ability.
 
     Scores are sigmoid(ability - item difficulty + noise), so with noise=0 the
-    task-averaged reference ranking equals the ability ranking exactly.
+    task-averaged reference ranking equals the ability ranking exactly. A
+    noise or ability spread so large that every score is 0 or 1 (or one is
+    NaN, from overflowing draws) raises a ValidationError.
     """
     rng = np.random.default_rng(config.seed)
     k, n = config.models, config.n_items
     if abilities is None:
-        abilities = config.ability_spread * rng.standard_normal(k)
+        with np.errstate(over="ignore"):
+            abilities = config.ability_spread * rng.standard_normal(k)
     else:
         abilities = np.asarray(abilities, dtype=np.float64)
         if abilities.shape != (k,):
@@ -108,8 +111,11 @@ def gen_benchmark(config: SynthConfig, abilities: np.ndarray | None = None) -> S
     item_difficulty = (
         np.repeat(task_difficulty, config.items_per_task) + 0.5 * rng.standard_normal(n)
     )
-    noise = config.noise * rng.standard_normal((k, n))
-    values = np.clip(sigmoid(abilities[:, None] - item_difficulty[None, :] + noise), 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = config.noise * rng.standard_normal((k, n))
+        values = np.clip(sigmoid(abilities[:, None] - item_difficulty[None, :] + noise), 0.0, 1.0)
+    if not (np.isfinite(values).all() and ((values > 0.0) & (values < 1.0)).any()):
+        raise ValidationError("noise or ability_spread too large: every score is 0 or 1")
 
     audio_in = rng.random(n) < 0.5
     audio_out = rng.random(n) < 0.5

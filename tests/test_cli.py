@@ -251,6 +251,18 @@ def test_evaluate_folds_holding_out_one_model_exit_1(tmp_path, capsys, valid_inp
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("command, flags, error", [
+    ("evaluate", ["--methods", "anchor_points,irt_anchor", "--sizes", "49,10", "--folds", 3,
+                  "--repeats", 1], "size 49 exceeds pool size 48"),
+    ("select", ["--method", "anchor_points", "--n", 49], "n=49 exceeds pool size 48"),
+])
+def test_anchor_size_beyond_pool_exit_1(tmp_path, capsys, valid_inputs, command, flags, error):
+    assert run_cli(command, "--bundle", valid_inputs[1], *flags, "--seed", 5,
+                   "--out", tmp_path / "out") == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {"kind": "validation", "error": error}
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_repeated_method_exit_1(tmp_path, capsys, valid_inputs):
     assert run_cli(
         "evaluate", "--bundle", valid_inputs[1], "--methods", "random_balanced,random_balanced",
@@ -366,6 +378,18 @@ def test_diverging_irt_fit_writes_one_json_line_to_stderr(tmp_path):
         "--irt-lr", "1e300", "--out", tmp_path / "sel")
     assert "irt_lr" in error
     assert not (tmp_path / "sel").exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise", "--ability-spread"])
+def test_synth_huge_scale_flag_writes_one_json_line_before_writing(tmp_path, flag):
+    # finite, but every score saturates at 0 or 1, and the product with a
+    # normal draw can overflow
+    out = tmp_path / "out"
+    error = _validation_error_in_subprocess(
+        "synth", "--models", 4, "--tasks", 2, "--items-per-task", 3, flag, "1e308",
+        "--seed", 0, "--out", out)
+    assert error == "noise or ability_spread too large: every score is 0 or 1"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method, kind", [("semantic_anchor", "semantic"),

@@ -21,6 +21,8 @@ from coreselect.evaluation import (
     spearman,
     spearman_flagged,
 )
+from coreselect import selectors
+from coreselect.embeddings import EmbeddingSet
 from coreselect.selectors import SelectorConfig
 
 from conftest import random_matrix
@@ -317,3 +319,30 @@ def test_report_summaries_render_missing_thresholds():
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "method,n,mean_r,sem,metric"
     assert len(csv_text.splitlines()) == 3
+
+
+def _huge_space(case, matrix):
+    """Points whose K-Means fails: finite, but either the seeding mass from the
+    second draw on is NaN, or every squared norm overflows."""
+    v = np.zeros((matrix.n_items, 3))
+    if case == "seeding":
+        v[::2, 0], v[1::2, 0] = 1e154, -1e154
+    else:
+        v[:] = 1e200
+    return EmbeddingSet("performance", matrix.item_ids, v)
+
+
+@pytest.mark.parametrize("case, sizes, message", [
+    ("seeding", (3, 1, 2), "n=2, repeat=0, fold=0: k-means++ seeding mass is not finite"),
+    ("norms", (3, 2), "n=2, repeat=0, fold=0: points must be finite, with squared norms"),
+])
+def test_anchor_kmeans_failure_names_the_first_failing_size(monkeypatch, case, sizes, message):
+    # the seed order is drawn once for size 3; size 1 still runs, and the
+    # error is raised at the size that fails on its own
+    monkeypatch.setattr(selectors, "performance_embeddings", partial(_huge_space, case))
+    m = random_matrix(np.random.default_rng(5), 6, [10, 10])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError) as exc:
+            crossval_curves(m, [SelectorConfig("anchor_points", n=3, seed=0)], sizes,
+                            folds=2, repeats=1)
+    assert str(exc.value).startswith(f"anchor_points failed at {message}")

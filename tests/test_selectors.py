@@ -225,8 +225,8 @@ def _oracle_pools(rng, count):
         yield points, w / w.sum() if i % 7 else w, k
 
 
-def _assert_kmeans_matches_oracle(points, w, k, seed):
-    res = weighted_kmeans(points, w, k, seed)
+def _assert_kmeans_matches_oracle(points, w, k, seed, prepared=None):
+    res = weighted_kmeans(points, w, k, seed, prepared=prepared)
     assign, centroids, anchors, objective, trace, repaired = oracle_weighted_kmeans(
         points, w, k, seed
     )
@@ -484,6 +484,139 @@ def test_kmeans_matches_oracle_on_both_sides_of_bounds_constant(k):
     assert (n * k >= selectors.KMEANS_BOUNDS_MIN_NK) == (k == 40)
     points, w = _blob_pool(np.random.default_rng([n, k]), n, 12, 30)
     _assert_kmeans_matches_oracle(points, w, k, k)
+
+
+# ------------------------------------------- one seed order for every size
+
+def _shared_order_pools():
+    """(points, weights) pools: Gaussian blobs; 60 rows with 15 distinct
+    half-integer points, whose seeding mass is exactly zero after 15 seeds;
+    and a single point."""
+    rng = np.random.default_rng(301)
+    yield _blob_pool(rng, 300, 5, 6)
+    distinct = rng.integers(-6, 7, size=(15, 4)) * 0.5
+    yield distinct[rng.permutation(np.arange(60) % 15)], rng.random(60) + 0.05
+    yield rng.standard_normal((1, 3)), np.ones(1)
+
+
+def _sizes(n):
+    return sorted({1, 2, 7, 16, n // 2, n} & set(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("pool", range(3))
+def test_shared_seed_order_prefix_equals_seeding_alone(pool):
+    points, w = list(_shared_order_pools())[pool]
+    sizes = _sizes(len(points))
+    # drawn once for the largest size, asked largest first; and grown from 1
+    largest = selectors._KMeansInput(points, w, 17, sizes[-1])
+    grown = selectors._KMeansInput(points, w, 17, 1)
+    for k in sizes[::-1]:
+        alone = _assert_seeds_match_oracle(points, w, k, 17)
+        assert largest.seeds(k).tobytes() == alone.tobytes()
+    for k in sizes:
+        assert grown.seeds(k).tobytes() == _assert_seeds_match_oracle(points, w, k, 17).tobytes()
+    if pool == 1:  # the zero-mass branch: the first unused rows follow the 15 distinct seeds
+        order = largest.seeds(60)
+        assert len(np.unique(points[order[:15]], axis=0)) == 15
+        assert order[15:].tolist() == np.setdiff1d(np.arange(60), order[:15]).tolist()
+
+
+@pytest.mark.parametrize("bound", [None, 0])
+def test_kmeans_from_shared_order_matches_oracle_at_every_size(monkeypatch, bound):
+    if bound is not None:
+        monkeypatch.setattr(selectors, "KMEANS_BOUNDS_MIN_NK", bound)
+    for points, w in _shared_order_pools():
+        sizes = _sizes(len(points))
+        shared = selectors._KMeansInput(points, w, 5, sizes[-1])
+        for k in sizes:
+            _assert_kmeans_matches_oracle(points, w, k, 5, prepared=shared)
+
+
+def test_shared_seed_order_fails_only_the_sizes_that_fail_alone():
+    points, w = _non_finite_case("seeding_mass_overflow")  # the second draw's mass is NaN
+    shared = selectors._KMeansInput(points, w, 0, 9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, want = weighted_kmeans(points, w, 1, 0, prepared=shared), weighted_kmeans(points, w, 1, 0)
+        for k in (2, 5, 9, 12):
+            with pytest.raises(ValidationError, match="seeding mass is not finite"):
+                weighted_kmeans(points, w, k, 0, prepared=shared)
+    assert res.anchor_rows.tobytes() == want.anchor_rows.tobytes()
+    assert res.centroids.tobytes() == want.centroids.tobytes()
+
+
+def test_anchor_select_checks_pool_size_before_seeding(monkeypatch, rng):
+    def no_seeding(*args):
+        raise AssertionError("seeded")
+
+    monkeypatch.setattr(selectors, "_kmeanspp_seed", no_seeding)
+    m = random_matrix(rng, 3, [5, 5])
+    with pytest.raises(ValidationError, match="n=11 exceeds pool size 10"):
+        run_selector(m, SelectorConfig("anchor_points", n=11, seed=0))
+
+
+def test_anchor_tables_and_seeds_built_once_per_fold(monkeypatch, rng):
+    from coreselect.evaluation import crossval_curves
+
+    calls = []
+    for name in ("balance_weights", "_kmeanspp_seed"):
+        def counted(*args, _name=name, _fn=getattr(selectors, name)):
+            calls.append((_name, args[3] if _name == "_kmeanspp_seed" else None))
+            return _fn(*args)
+        monkeypatch.setattr(selectors, name, counted)
+    m = random_matrix(rng, 6, [10, 14])
+    run_selector(m, SelectorConfig("anchor_points", n=9, seed=0))
+    assert calls == [("balance_weights", None), ("_kmeanspp_seed", 9)]
+    calls.clear()
+    crossval_curves(m, [SelectorConfig("anchor_points", n=2, seed=0)], sizes=(6, 2, 11),
+                    folds=2, repeats=1)
+    assert calls == [("balance_weights", None), ("_kmeanspp_seed", 11)] * 2
+
+
+def _oracle_weighted_means(points, w, assign, k):
+    """The per-cluster loop: one stable sort by cluster, then each cluster's
+    (w·p).sum(axis=0) / w.sum() over its slice."""
+    order = np.argsort(assign, kind="stable")
+    wps, ws = (w[:, None] * points)[order], w[order]
+    counts = np.bincount(assign, minlength=k)
+    stops = np.cumsum(counts)
+    out = np.empty((k, points.shape[1]))
+    for c in range(k):
+        a, b = stops[c] - counts[c], stops[c]
+        out[c] = wps[a:b].sum(axis=0) / ws[a:b].sum()
+    return out
+
+
+def _assert_weighted_means_match_oracle(points, w, assign, k):
+    out = np.empty((k, points.shape[1]))
+    wcols = np.multiply(w, points.T, out=np.empty(points.shape[::-1]))
+    selectors._weighted_means(wcols, w, assign, np.bincount(assign, minlength=k), out)
+    assert out.tobytes() == _oracle_weighted_means(points, w, assign, k).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12, 38, 50, 64, 256])
+def test_weighted_means_match_per_cluster_loop(d):
+    # clusters of 1 to 9 rows sit on both sides of the 8-term pairwise threshold
+    rng = np.random.default_rng(d)
+    sizes = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 128, 129, 3000, 8000])
+    assign = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+    n = assign.size
+    points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-4, 5, size=(n, 1))
+    points[rng.random((n, d)) < 0.3] = -0.0
+    points[(assign == 4) | (assign == 10)] = -0.0  # every sum of these clusters adds -0.0 terms
+    w = rng.random(n) + 0.01
+    _assert_weighted_means_match_oracle(points, w, assign, sizes.size)
+    _assert_weighted_means_match_oracle(points, np.round(w, 1) + 0.05, assign, sizes.size)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_weighted_means_match_per_cluster_loop_past_int16_keys(d):
+    rng = np.random.default_rng([d, 33])
+    k = 33_000
+    # every cluster non-empty, and a few large ones on both sides of 32,767
+    large = rng.choice([0, 5, 16_000, 32_767, 32_768, 32_999], size=6000)
+    assign = rng.permutation(np.concatenate([np.arange(k), large]))
+    points = rng.standard_normal((assign.size, d))
+    _assert_weighted_means_match_oracle(points, rng.random(assign.size) + 0.01, assign, k)
 
 
 # ------------------------------------------------- random balanced draws
