@@ -17,7 +17,7 @@ semantic and acoustic embeddings and ratings for 7 models; ingest; select of
 every method at n=20 (20 search draws); random_search_learn selects at n=20,
 50 and 200 with the default 1,000 search draws, whose candidates are scored
 in stacks of 13 with a last one of 12, stacks of 6 with a last one of 4, and
-one at a time (see ``selectors._SEARCH_BATCH_ELEMENTS``); irt_anchor
+one at a time (see ``regression._RIDGE_STACK_ELEMENTS``); irt_anchor
 selects at n=20 with ``--irt-dim 1`` and with ``--irt-epochs 37 --irt-lr
 0.5``, whose M2PL fits take a shape and a step size the defaults do not;
 evaluate of every method at sizes 10,20,50,200 (3 folds x 2 repeats, 20
@@ -52,6 +52,12 @@ seeds, so the rest take the first unused row, and at n=8 clusters hold
 identical items, whose anchor is the lowest row among the exact minima. An
 anchor_points and irt_anchor evaluate at sizes 24,8,2 (3 folds x 2 repeats)
 draws each fold's seed order through the zero-mass rule too.
+
+A fifth synth pool of 18 models x 8 tasks x 25 items rates 12 models. One
+random_balanced select at n=50 feeds a lomo and a pairwise52 regress on every
+rated dimension, whose protocol folds are fitted in stacks of six (the
+``regression._RIDGE_STACK_ELEMENTS`` budget): lomo's 12 folds in two stacks,
+and pairwise52's 66 pairs in 11.
 """
 
 from __future__ import annotations
@@ -199,6 +205,22 @@ def run_duplicate_pool(cli_main, root: Path) -> None:
          "--out", root / "duplicates" / "evaluate")
 
 
+def run_rated_pool(cli_main, root: Path) -> None:
+    data, bundle = root / "rated" / "data", root / "rated" / "bundle"
+    _run(cli_main, "synth", "--models", 18, "--tasks", 8, "--items-per-task", 25,
+         "--rated-models", 12, "--seed", SEED, "--out", data)
+    _run(cli_main, "ingest", "--items", data / "items.csv", "--scores", data / "scores.csv",
+         "--norm-config", data / "norm_config.json", "--out", bundle)
+    select = root / "rated" / "select"
+    _run(cli_main, "select", "--bundle", bundle, "--method", "random_balanced", "--n", 50,
+         "--seed", SEED, "--out", select)
+    for protocol in ("lomo", "pairwise52"):
+        for dim in DIMENSIONS:
+            _run(cli_main, "regress", "--bundle", bundle, "--subset", select / "subset.json",
+                 "--ratings", data / "ratings.csv", "--protocol", protocol, "--dimension", dim,
+                 "--out", root / "rated" / "regress" / protocol / dim)
+
+
 def main() -> None:
     checkout = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(checkout.resolve() / "src"))
@@ -210,6 +232,7 @@ def main() -> None:
         run_large_pool(cli_main, root)
         run_rewritten_pool(cli_main, root)
         run_duplicate_pool(cli_main, root)
+        run_rated_pool(cli_main, root)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(root).as_posix()}")

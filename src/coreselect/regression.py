@@ -17,6 +17,15 @@ from .pool import HumanRatingsTable
 # lambda grid for preference protocols: nine powers of ten, 1e-4 .. 1e4
 PREFERENCE_LAMBDA_GRID = tuple(10.0 ** e for e in range(-4, 5))
 
+# Stacked Ridge fits (random-search candidates, protocol folds) run in batches
+# of B = this // max(n^2, lambdas * m^2) slices of m rows by n features. The
+# largest stacked array, the (B, n, n) Gram or the (B, lambdas, m, m) CV
+# residual operators, then holds at most 128 KiB of float64, and a batch's
+# arrays together about twice that. Larger budgets were a little faster but
+# raised the peak RSS of perfbench's model_fit, by up to 2.4 MB at 8x this
+# budget.
+_RIDGE_STACK_ELEMENTS = 16_384
+
 
 @dataclass(frozen=True)
 class RidgeModel:
@@ -182,17 +191,26 @@ def _ridge_cv_stack(
     """ridge_cv on every slice of x (B, m, n), y (B, m) with the sorted grid
     from _lambda_grid: the picked lambdas (B,), weights (B, n) and
     intercepts (B,). A one-value grid skips CV. The first slice whose CV
-    errors or fit are not finite raises, as its own ridge_cv call would."""
-    if grid.size == 1:
-        pick = np.zeros(x.shape[0], dtype=np.intp)
-    else:
-        errs = _cv_errors(x, y, grid, folds)
-        y_term = 1e-24 * np.mean(y**2, axis=1, keepdims=True)
-        tol = errs.min(axis=1, keepdims=True) * (1.0 + 1e-10) + y_term
-        # the largest passing lambda; -1 when none passes, which takes a NaN error
-        pick = np.where(errs <= tol, np.arange(grid.size), -1).max(axis=1)
-    lams = grid[pick]
-    w, b = _ridge_solve(x, y, lams)
+    errors or fit are not finite raises, as its own ridge_cv call would. One
+    slice that LAPACK fails on (np.linalg.LinAlgError) fails the whole stacked
+    call, so the stack is then refitted slice by slice, and the first failing
+    slice raises its own error."""
+    try:
+        if grid.size == 1:
+            pick = np.zeros(x.shape[0], dtype=np.intp)
+        else:
+            errs = _cv_errors(x, y, grid, folds)
+            y_term = 1e-24 * np.mean(y**2, axis=1, keepdims=True)
+            tol = errs.min(axis=1, keepdims=True) * (1.0 + 1e-10) + y_term
+            # the largest passing lambda; -1 when none passes, which takes a NaN error
+            pick = np.where(errs <= tol, np.arange(grid.size), -1).max(axis=1)
+        lams = grid[pick]
+        w, b = _ridge_solve(x, y, lams)
+    except np.linalg.LinAlgError:
+        if x.shape[0] == 1:
+            raise
+        fits = [_ridge_cv_stack(x[i:i + 1], y[i:i + 1], grid, folds) for i in range(x.shape[0])]
+        return tuple(np.concatenate(parts) for parts in zip(*fits))
     ok = (pick >= 0) & np.isfinite(w).all(axis=1) & np.isfinite(b)
     if not ok.all():
         first = int(np.argmin(ok))
@@ -200,6 +218,11 @@ def _ridge_cv_stack(
             raise ValidationError("ridge CV errors must be finite")
         raise ValidationError("ridge weights and intercept must be finite")
     return lams, w, b
+
+
+def _stack_batch(n: int, lambdas: int, m: int) -> int:
+    """Slices per stacked Ridge batch of m rows by n features, CV over lambdas."""
+    return max(1, _RIDGE_STACK_ELEMENTS // max(n * n, lambdas * m * m))
 
 
 def ridge_cv(
@@ -291,6 +314,29 @@ def _align_ratings(
     return x, ratings.column(dimension)
 
 
+def _protocol_fits(x: np.ndarray, y: np.ndarray, held: np.ndarray):
+    """Yield (lambda, weights, intercept) of each fold's Ridge fit, in fold
+    order: ridge_cv on the rows outside held[f], with PREFERENCE_LAMBDA_GRID
+    and leave-one-out CV.
+
+    The folds are fitted in stacked batches of _stack_batch slices, and only
+    one batch of the (folds, m, n) training stack is held at a time. Each
+    fold carries the bits of its own ridge_cv call, and the first failing
+    fold raises its error (_ridge_cv_stack).
+    """
+    folds = len(held)
+    keep = np.ones((folds, x.shape[0]), dtype=bool)
+    keep[np.arange(folds)[:, None], held] = False
+    train = np.nonzero(keep)[1].reshape(folds, -1)  # each row ascending
+    m = train.shape[1]
+    grid = _lambda_grid(PREFERENCE_LAMBDA_GRID)
+    batch = _stack_batch(x.shape[1], grid.size, m)
+    for start in range(0, folds, batch):
+        rows = train[start:start + batch]
+        lams, w, b = _ridge_cv_stack(x[rows], y[rows], grid, m)
+        yield from zip(lams.tolist(), w, b.tolist())
+
+
 def preference_lomo(
     subset_scores: np.ndarray,
     ratings: HumanRatingsTable,
@@ -303,7 +349,8 @@ def preference_lomo(
     all models, and correlate the predictions with the ratings over all
     models. The aggregate is the mean
     fold Pearson; heldout_pearson additionally correlates only the held-out
-    predictions collected across folds.
+    predictions collected across folds. Each fold predicts as its RidgeModel
+    would, x @ w + b.
     """
     from .evaluation import pearson_flagged  # evaluation imports selectors, which imports this
 
@@ -313,16 +360,14 @@ def preference_lomo(
         raise ValidationError("LOMO needs at least 3 rated models")
     report = ProtocolReport("lomo", dimension)
     heldout_preds = np.empty(k)
-    for t in range(k):
-        train = np.arange(k) != t
-        model = ridge_cv(x[train], y[train], PREFERENCE_LAMBDA_GRID, folds=k - 1)
-        preds = model.predict(x)
+    for t, (lam, w, b) in enumerate(_protocol_fits(x, y, np.arange(k)[:, None])):
+        preds = x @ w + b
         heldout_preds[t] = preds[t]
         r, degenerate = pearson_flagged(preds, y)
         report.folds.append(
             FoldOutcome(
                 held_out=(ratings.model_ids[t],),
-                lam=model.lam,
+                lam=lam,
                 pearson_r=None if degenerate else r,
                 degenerate=degenerate,
             )
@@ -351,11 +396,9 @@ def pairwise_52(
         raise ValidationError("the 5-2 protocol needs at least 4 rated models")
     report = ProtocolReport("pairwise52", dimension)
     correct = 0
-    for i, j in itertools.combinations(range(k), 2):
-        train = np.ones(k, dtype=bool)
-        train[[i, j]] = False
-        model = ridge_cv(x[train], y[train], PREFERENCE_LAMBDA_GRID, folds=k - 2)
-        pred_i, pred_j = model.predict(x[[i, j]])
+    pairs = list(itertools.combinations(range(k), 2))
+    for (i, j), (lam, w, b) in zip(pairs, _protocol_fits(x, y, np.array(pairs))):
+        pred_i, pred_j = x[[i, j]] @ w + b
         ok = bool(
             pred_i != pred_j and y[i] != y[j] and ((pred_i > pred_j) == (y[i] > y[j]))
         )
@@ -363,7 +406,7 @@ def pairwise_52(
         report.folds.append(
             FoldOutcome(
                 held_out=(ratings.model_ids[i], ratings.model_ids[j]),
-                lam=model.lam,
+                lam=lam,
                 predictions=(float(pred_i), float(pred_j)),
                 correct=ok,
             )

@@ -27,20 +27,12 @@ from .pool import ScoreMatrix
 from .embeddings import EmbeddingSet, assemble_combined, performance_embeddings
 from .weighting import SubsetSpec, balance_weights, reference_scores
 from .weighting import apw_scores, renormalized_balance_scores
-from .regression import RidgeModel, _lambda_grid, _ridge_cv_stack, ridge_cv
+from .regression import RidgeModel, _lambda_grid, _ridge_cv_stack, _stack_batch, ridge_cv
 from . import irt as irt_mod
 
 LEARN_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 KMEANS_MAX_ITER = 300
-
-# Random-search candidates are scored in stacks of B = this // max(n^2,
-# lambdas * m^2) candidates. The largest stacked array, the (B, n, n) Gram or
-# the (B, lambdas, m, m) CV residual operators, then holds at most 128 KiB of
-# float64, and a batch's arrays together about twice that. Larger budgets
-# were a little faster but raised the peak RSS of perfbench's model_fit, by
-# up to 2.4 MB at 8x this budget.
-_SEARCH_BATCH_ELEMENTS = 16_384
 
 # Smallest n·k at which weighted_kmeans keeps per-point bounds (see its docstring).
 KMEANS_BOUNDS_MIN_NK = 200_000
@@ -213,9 +205,12 @@ class _KMeansInput:
 
 
 def _own_sq_dists(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    """((p − c)**2).sum() from every point to its own centroid."""
-    diffs = points - centroids[assign]
-    return (diffs**2).sum(axis=1)
+    """((p − c)**2).sum() from every point to its own centroid, with one
+    n × d temporary: p − c and its square are formed in place."""
+    diffs = centroids[assign]
+    np.subtract(points, diffs, out=diffs)
+    np.multiply(diffs, diffs, out=diffs)
+    return diffs.sum(axis=1)
 
 
 def _weighted_means(
@@ -448,21 +443,57 @@ def _require_items(matrix: ScoreMatrix, n: int) -> None:
         raise ValidationError(f"n={n} exceeds pool size {matrix.n_items}")
 
 
-def _draw_balanced(
-    matrix: ScoreMatrix, n: int, p: np.ndarray, seed: int, index: int
-) -> np.ndarray:
-    """Item positions of balanced draw `index`: n distinct items drawn with
-    probabilities p (the normalized balance weights) from the stream
-    SeedSequence([seed, 0, index])."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0, index]))
-    return rng.choice(matrix.n_items, size=n, replace=False, p=p, shuffle=False)
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """rows without repeats, each kept where it first occurs."""
+    _, first = np.unique(rows, return_index=True)
+    return rows if first.size == rows.size else rows[np.sort(first)]
+
+
+class _BalancedDraws:
+    """Balanced draws of n distinct item positions with probabilities p (the
+    normalized balance weights); draw `index` of `seed` comes from the stream
+    SeedSequence([seed, 0, index]).
+
+    Each draw is Generator.choice(p.size, size=n, replace=False, p=p,
+    shuffle=False) in its own form, and takes the same rows from the same
+    stream. choice checks p, draws n uniforms, maps each to the row
+    cdf.searchsorted(u, side="right") on cdf = p.cumsum(), cdf /= cdf[-1], and
+    keeps the first occurrence of each row; while rows are missing, it zeroes
+    the rows found in a copy of p, rebuilds the cdf and draws the rest. The
+    checks and the first cdf do not depend on the stream, so they are made
+    once here for every draw: p's checks by choice itself on a zero-size
+    draw, which takes no sample, and the two checks of n against p."""
+
+    def __init__(self, p: np.ndarray, n: int) -> None:
+        np.random.default_rng(0).choice(p.size, size=0, replace=False, p=p)
+        if n > p.size:
+            raise ValueError("Cannot take a larger sample than population when replace is False")
+        if np.count_nonzero(p > 0) < n:
+            raise ValueError("Fewer non-zero entries in p than size")
+        self.p, self.n = p, n
+        self.cdf = np.cumsum(p)
+        self.cdf /= self.cdf[-1]
+
+    def __call__(self, seed: int, index: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, index]))
+        found = _first_occurrences(self.cdf.searchsorted(rng.random(self.n), side="right"))
+        if found.size < self.n:
+            p = self.p.copy()
+            while found.size < self.n:
+                u = rng.random(self.n - found.size)
+                p[found] = 0
+                cdf = np.cumsum(p)
+                cdf /= cdf[-1]
+                new = _first_occurrences(cdf.searchsorted(u, side="right"))
+                found = np.concatenate([found, new])
+        return found
 
 
 def select_random_balanced(matrix: ScoreMatrix, n: int, seed: int) -> SubsetSpec:
     """Task-balanced random draw without replacement, uniform weights."""
     _require_items(matrix, n)
     b = balance_weights(matrix)
-    idx = _draw_balanced(matrix, n, b / b.sum(), seed, 0)
+    idx = _BalancedDraws(b / b.sum(), n)(seed, 0)
     return SubsetSpec.uniform("random_balanced", [matrix.item_ids[i] for i in idx], seed)
 
 
@@ -531,16 +562,47 @@ def select_difficulty_stratified(
 
 @dataclass
 class _AnchorFold:
-    """An anchor method's prepared fold: the embedding space it clusters, the
-    fitted IrtModel (irt_anchor only), the largest subset size n asked of the
-    fold and, from the fold's first select on, the K-Means input every size
-    shares: the points and balance weights in item_id order, their norms and
-    the seed order for n."""
+    """An anchor method's prepared fold: its embedding space's rows and the
+    balance weights, both in item_id order, the fitted IrtModel (irt_anchor
+    only) and the largest subset size n asked of the fold. The space itself
+    is not kept, so it is freed before K-Means runs. From the fold's first
+    select on, kmeans holds the K-Means input every size shares: these points
+    and weights, their norms and the seed order for n."""
 
-    space: EmbeddingSet
+    points: np.ndarray
+    weights: np.ndarray
     fitted: irt_mod.IrtModel | None
     n: int
     kmeans: _KMeansInput | None = None
+
+
+def _anchor_fold(
+    space: EmbeddingSet, matrix: ScoreMatrix, n: int, fitted: irt_mod.IrtModel | None = None
+) -> _AnchorFold:
+    if space.item_ids != matrix.item_ids:
+        raise ValidationError("embedding rows do not match the pool")
+    by_id = matrix.id_order
+    return _AnchorFold(space.vectors[by_id], balance_weights(matrix)[by_id], fitted, n)
+
+
+def _select_fold_anchors(
+    fold: _AnchorFold, matrix: ScoreMatrix, n: int, seed: int, method_name: str
+) -> tuple[SubsetSpec, ClusterResult]:
+    """select_anchor_points on a prepared fold, whose K-Means input, built by
+    the fold's first select, serves the sizes after it."""
+    _require_items(matrix, n)
+    if fold.kmeans is None or fold.kmeans.seed != seed:
+        upto = min(fold.n, matrix.n_items)
+        fold.kmeans = _KMeansInput(fold.points, fold.weights, seed, upto)
+    data = fold.kmeans
+    result = weighted_kmeans(data.points, data.weights, n, seed, prepared=data)
+    cluster_w = result.cluster_weight(data.weights)
+    by_id = matrix.id_order
+    entries = tuple(
+        (matrix.item_ids[by_id[row]], float(cw))
+        for row, cw in zip(result.anchor_rows, cluster_w)
+    )
+    return SubsetSpec(method_name, n, seed, entries), result
 
 
 def select_anchor_points(
@@ -549,34 +611,14 @@ def select_anchor_points(
     n: int,
     seed: int,
     method_name: str = "anchor_points",
-    prepared: _AnchorFold | None = None,
 ) -> tuple[SubsetSpec, ClusterResult]:
     """Cluster the embedding space into n task-weighted clusters and return
     each cluster's nearest item with the cluster's balance-weight mass.
 
     Items are processed in item_id order so every tie (anchor choice, the
     degenerate identical-pool rule) resolves toward the lowest item_id.
-    prepared, the _AnchorFold of these embeddings, keeps the K-Means input
-    built by the first size of a fold for the sizes after it.
     """
-    if embeddings.item_ids != matrix.item_ids:
-        raise ValidationError("embedding rows do not match the pool")
-    _require_items(matrix, n)
-    by_id = matrix.id_order
-    if prepared is None:
-        prepared = _AnchorFold(embeddings, None, n)
-    if prepared.kmeans is None or prepared.kmeans.seed != seed:
-        weights = balance_weights(matrix)[by_id]
-        upto = min(prepared.n, matrix.n_items)
-        prepared.kmeans = _KMeansInput(embeddings.vectors[by_id], weights, seed, upto)
-    data = prepared.kmeans
-    result = weighted_kmeans(data.points, data.weights, n, seed, prepared=data)
-    cluster_w = result.cluster_weight(data.weights)
-    entries = tuple(
-        (matrix.item_ids[by_id[row]], float(cw))
-        for row, cw in zip(result.anchor_rows, cluster_w)
-    )
-    return SubsetSpec(method_name, n, seed, entries), result
+    return _select_fold_anchors(_anchor_fold(embeddings, matrix, n), matrix, n, seed, method_name)
 
 
 @dataclass
@@ -600,7 +642,7 @@ def select_learn(matrix: ScoreMatrix, config: SelectorConfig) -> LearnSelection:
     MAE on a fixed config.holdout_fraction split of the source models; the
     first draw of least MAE is refit on all source models. With n_search=1
     this reduces to sampling. Candidates are drawn one at a time, each from
-    its own stream, and scored in stacked batches (_SEARCH_BATCH_ELEMENTS):
+    its own stream, and scored in stacked batches (regression._stack_batch):
     one _ridge_cv_stack call and one stacked prediction per batch. The MAEs
     equal those of scoring each candidate alone with ridge_cv, bit for bit.
     """
@@ -612,7 +654,7 @@ def select_learn(matrix: ScoreMatrix, config: SelectorConfig) -> LearnSelection:
     k = matrix.n_models
     ref = reference_scores(matrix)
     b = balance_weights(matrix)
-    p = b / b.sum()  # draw probabilities, shared by every candidate
+    draw = _BalancedDraws(b / b.sum(), n)  # shared by every candidate
 
     maes: list[float] = []
     if method == "random_search_learn":
@@ -623,10 +665,10 @@ def select_learn(matrix: ScoreMatrix, config: SelectorConfig) -> LearnSelection:
             raise ValidationError("not enough source models for the search split")
         m = len(train_rows)
         grid = _lambda_grid(lambda_grid)
-        batch = max(1, _SEARCH_BATCH_ELEMENTS // max(n * n, grid.size * m * m))
+        batch = _stack_batch(n, grid.size, m)
         for start in range(0, config.n_search, batch):
             stop = min(start + batch, config.n_search)
-            idx = np.array([_draw_balanced(matrix, n, p, seed, i) for i in range(start, stop)])
+            idx = np.array([draw(seed, i) for i in range(start, stop)])
             x = matrix.values[train_rows[None, :, None], idx[:, None, :]]
             y = np.broadcast_to(ref[train_rows], (stop - start, m))
             _, weights, intercepts = _ridge_cv_stack(x, y, grid, min(5, m))
@@ -635,7 +677,7 @@ def select_learn(matrix: ScoreMatrix, config: SelectorConfig) -> LearnSelection:
             maes.extend(np.abs(pred - ref[val_rows]).mean(axis=1).tolist())
 
     # search keeps the first candidate of least MAE (np.argmin's tie rule); sampling, draw 0
-    idx = _draw_balanced(matrix, n, p, seed, int(np.argmin(maes)) if maes else 0)
+    idx = draw(seed, int(np.argmin(maes)) if maes else 0)
     ids = [matrix.item_ids[i] for i in idx]
     model = ridge_cv(matrix.values[:, idx], ref, lambda_grid, folds=min(5, k), item_ids=ids)
     return LearnSelection(SubsetSpec.uniform(method, ids, seed), model, tuple(maes))
@@ -666,11 +708,11 @@ def _prepare_irt_anchor(matrix, config, semantic, acoustic):
     fitted = irt_mod.fit_m2pl(
         irt_mod.binarize(matrix), config.irt_dim, config.irt_epochs, config.irt_lr, config.seed
     )
-    return _AnchorFold(irt_mod.item_embeddings(fitted), fitted, config.n)
+    return _anchor_fold(irt_mod.item_embeddings(fitted), matrix, config.n, fitted)
 
 
 def _prepare_anchor_points(matrix, config, semantic, acoustic):
-    return _AnchorFold(performance_embeddings(matrix), None, config.n)
+    return _anchor_fold(performance_embeddings(matrix), matrix, config.n)
 
 
 def _prepare_pca_anchor(kind, matrix, config, semantic, acoustic):
@@ -680,19 +722,18 @@ def _prepare_pca_anchor(kind, matrix, config, semantic, acoustic):
     if embeddings is None:
         raise ValidationError(f"{config.method} requires {kind} embeddings")
     reduced = embeddings.pca(min(config.pca_dim, embeddings.dim), f"{kind} embedding")
-    return _AnchorFold(EmbeddingSet(kind, embeddings.item_ids, reduced), None, config.n)
+    return _anchor_fold(EmbeddingSet(kind, embeddings.item_ids, reduced), matrix, config.n)
 
 
 def _prepare_combined_anchor(matrix, config, semantic, acoustic):
     if semantic is None or acoustic is None:
         raise ValidationError(f"{config.method} requires semantic and acoustic embeddings")
-    return _AnchorFold(assemble_combined(acoustic, semantic, matrix), None, config.n)
+    return _anchor_fold(assemble_combined(acoustic, semantic, matrix), matrix, config.n)
 
 
 def _select_anchors(matrix, config, prepared):
     _require_models(matrix, 2, f"{config.method} selection")
-    subset, _ = select_anchor_points(prepared.space, matrix, config.n, config.seed,
-                                     config.method, prepared)
+    subset, _ = _select_fold_anchors(prepared, matrix, config.n, config.seed, config.method)
     return subset, None, prepared.fitted
 
 

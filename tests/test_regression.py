@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from coreselect import regression
 from coreselect.cli import _canonical_json
 from coreselect.errors import ValidationError
 from coreselect.pool import HumanRatingsTable
@@ -343,3 +345,160 @@ def test_ridge_model_json_round_trip():
     assert np.array_equal(again.weights, model.weights)
     assert again.intercept == model.intercept
     assert again.item_ids == ("a", "b")
+
+
+# ------------------------------------------- stacked protocols vs the loop
+
+def loop_protocol(protocol, x, table, dimension):
+    """The protocol as one ridge_cv call per fold, predicting through each
+    fold's RidgeModel: the form the stacked protocols replaced."""
+    from coreselect.evaluation import pearson_flagged
+    from coreselect.regression import FoldOutcome, ProtocolReport
+
+    y = table.column(dimension)
+    k = x.shape[0]
+    report = ProtocolReport(protocol, dimension)
+    if protocol == "lomo":
+        heldout_preds = np.empty(k)
+        for t in range(k):
+            train = np.arange(k) != t
+            model = ridge_cv(x[train], y[train], PREFERENCE_LAMBDA_GRID, folds=k - 1)
+            preds = model.predict(x)
+            heldout_preds[t] = preds[t]
+            r, degenerate = pearson_flagged(preds, y)
+            report.folds.append(FoldOutcome((table.model_ids[t],), model.lam,
+                                            None if degenerate else r, degenerate))
+        defined = [f.pearson_r for f in report.folds if f.pearson_r is not None]
+        report.mean_pearson = float(np.mean(defined)) if defined else None
+        r, degenerate = pearson_flagged(heldout_preds, y)
+        report.heldout_pearson = None if degenerate else r
+        return report
+    correct = 0
+    for i, j in itertools.combinations(range(k), 2):
+        train = np.ones(k, dtype=bool)
+        train[[i, j]] = False
+        model = ridge_cv(x[train], y[train], PREFERENCE_LAMBDA_GRID, folds=k - 2)
+        pred_i, pred_j = model.predict(x[[i, j]])
+        ok = bool(pred_i != pred_j and y[i] != y[j] and ((pred_i > pred_j) == (y[i] > y[j])))
+        correct += ok
+        report.folds.append(FoldOutcome((table.model_ids[i], table.model_ids[j]), model.lam,
+                                        predictions=(float(pred_i), float(pred_j)), correct=ok))
+    report.accuracy = correct / len(report.folds)
+    return report
+
+
+PROTOCOLS = {"lomo": preference_lomo, "pairwise52": pairwise_52}
+
+
+def assert_protocol_matches_loop(protocol, x, table, record=lambda: None):
+    """Compare the protocol's report with the loop's, bit for bit; record()
+    is called between the two runs, and its result returned with the report."""
+    expected = loop_protocol(protocol, x, table, "overall")
+    recorded = record()
+    report = PROTOCOLS[protocol](x, table, "overall")
+    assert _canonical_json(report.to_json_dict()) == _canonical_json(expected.to_json_dict())
+    return report, recorded
+
+
+def record_stacks(monkeypatch, per_batch=None, n=None, m=None):
+    """Record the stack size of every _ridge_cv_stack call; with per_batch,
+    set the budget so that stacks of m rows by n features hold that many folds."""
+    if per_batch is not None:
+        per_slice = max(n * n, len(PREFERENCE_LAMBDA_GRID) * m * m)
+        monkeypatch.setattr(regression, "_RIDGE_STACK_ELEMENTS", per_batch * per_slice)
+    sizes = []
+    real = regression._ridge_cv_stack
+
+    def recording(x, *args):
+        sizes.append(x.shape[0])
+        return real(x, *args)
+
+    monkeypatch.setattr(regression, "_ridge_cv_stack", recording)
+    return sizes
+
+
+def protocol_inputs(rng, k, n, binary):
+    """k rated models by n features; with binary, values from four exact
+    binary fractions, so rows, columns and ratings repeat and CV errors tie."""
+    if binary:
+        x = rng.choice([0.0, 0.25, 0.5, 1.0], size=(k, n))
+        y = rng.choice([0.0, 0.25, 0.5, 1.0], size=k)
+    else:
+        x, y = rng.random((k, n)), rng.random(k)
+    return x, _ratings(y)
+
+
+@pytest.mark.parametrize("protocol, models", [("lomo", range(3, 13)), ("pairwise52", range(4, 13))])
+def test_stacked_protocol_bit_identical_to_ridge_cv_loop(monkeypatch, protocol, models):
+    for k in models:
+        for n in (1, 2, 50, 200):
+            rng = np.random.default_rng([k, n])
+            for binary in (False, True):
+                x, table = protocol_inputs(rng, k, n, binary)
+                report, sizes = assert_protocol_matches_loop(
+                    protocol, x, table, lambda: record_stacks(monkeypatch))
+                monkeypatch.undo()
+                folds = len(report.folds)
+                m = k - 1 if protocol == "lomo" else k - 2
+                batch = max(1, 16_384 // max(n * n, 9 * m * m))
+                assert sizes == [batch] * (folds // batch) + ([folds % batch] if folds % batch else [])
+
+
+@pytest.mark.parametrize("protocol, k", [("lomo", 12), ("lomo", 8), ("pairwise52", 12),
+                                         ("pairwise52", 9)])
+@pytest.mark.parametrize("per_batch", [1, 5, 7])
+def test_stacked_protocol_batches_split_with_a_remainder(monkeypatch, protocol, k, per_batch):
+    # 12 and 8 LOMO folds, 66 and 36 pairs: stacks of 5 and 7 leave a remainder
+    n, m = 50, k - 1 if protocol == "lomo" else k - 2
+    x, table = protocol_inputs(np.random.default_rng([k, per_batch]), k, n, False)
+    report, sizes = assert_protocol_matches_loop(
+        protocol, x, table, lambda: record_stacks(monkeypatch, per_batch, n, m))
+    folds = len(report.folds)
+    assert sizes == [per_batch] * (folds // per_batch) + (
+        [folds % per_batch] if folds % per_batch else [])
+    assert per_batch == 1 or folds % per_batch
+
+
+@pytest.mark.parametrize("protocol", ["lomo", "pairwise52"])
+def test_stacked_protocol_flags_constant_ratings_and_features(monkeypatch, protocol):
+    rng = np.random.default_rng(11)
+    monkeypatch.setattr(regression, "_RIDGE_STACK_ELEMENTS", 3 * 9 * 25)  # stacks of 3 or more
+    for x, y in ((rng.random((6, 4)), np.full(6, 0.5)), (np.full((6, 4), 0.4), rng.random(6))):
+        report, _ = assert_protocol_matches_loop(protocol, x, _ratings(y))
+        if protocol == "lomo":
+            assert all(f.degenerate for f in report.folds) and report.mean_pearson is None
+        else:
+            assert report.accuracy == 0.0
+
+
+def _error(call):
+    with np.errstate(all="ignore"):
+        try:
+            call()
+        except (ValidationError, np.linalg.LinAlgError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("protocol", ["lomo", "pairwise52"])
+def test_stacked_protocol_raises_the_loops_error_on_huge_features(monkeypatch, protocol):
+    # rows of huge features make the CV errors or the LAPACK calls of the
+    # folds that train on them fail, not all in the same way; in stacks of
+    # any size, the protocol must raise the first failing fold's own error
+    rng = np.random.default_rng(1)
+    seen = set()
+    for trial in range(150):
+        k, n = int(rng.integers(4, 13)), int(rng.choice([1, 2, 3, 5, 20, 50]))
+        x, table = protocol_inputs(rng, k, n, False)
+        for row in rng.integers(k, size=int(rng.integers(1, 3))):
+            x[row] = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(140, 300)
+        expected = _error(lambda: loop_protocol(protocol, x, table, "overall"))
+        per_batch = (None, 1, 4)[trial % 3]
+        if per_batch is not None:
+            record_stacks(monkeypatch, per_batch, n, k - 1 if protocol == "lomo" else k - 2)
+        assert _error(lambda: PROTOCOLS[protocol](x, table, "overall")) == expected
+        monkeypatch.undo()
+        seen.add(expected)
+    assert {None, (np.linalg.LinAlgError, "Singular matrix"),
+            (np.linalg.LinAlgError, "Eigenvalues did not converge")} <= seen
+    assert protocol == "pairwise52" or (ValidationError, "ridge CV errors must be finite") in seen

@@ -147,3 +147,34 @@ def test_stacked_ridge_cv_raises_for_a_non_finite_slice():
             _ridge_cv_stack(x, y, _lambda_grid((0.5,)), 3)
     y[3, 0] = 0.5
     _ridge_cv_stack(x, y, grid, 3)
+
+
+def test_stacked_ridge_cv_refits_slice_by_slice_when_lapack_fails():
+    # slice 1's huge row fails eigh on its own, which fails the stacked call;
+    # the stack must still raise slice 0's own ValidationError first
+    rng = np.random.default_rng(4)
+    x = rng.random((3, 11, 1))
+    y = rng.random((3, 11))
+    x[1, 5] = 1e160
+    grid = _lambda_grid(PREFERENCE_LAMBDA_GRID)
+    with np.errstate(all="ignore"):
+        with pytest.raises(np.linalg.LinAlgError) as alone:
+            _ridge_cv_stack(x[1:2], y[1:2], grid, 11)
+        with pytest.raises(np.linalg.LinAlgError) as stacked:
+            _ridge_cv_stack(x, y, grid, 11)
+        assert str(stacked.value) == str(alone.value)
+        y[0, 0] = np.inf
+        with pytest.raises(ValidationError) as first:
+            _ridge_cv_stack(x[:1], y[:1], grid, 11)
+        with pytest.raises(ValidationError, match=str(first.value)):
+            _ridge_cv_stack(x, y, grid, 11)
+    # the slices that fit keep their bits when the stack is refitted slice by slice
+    x[1, 5], y[0, 0] = 0.5, 0.5
+    x[2, 3] = 1e160
+    with np.errstate(all="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            _ridge_cv_stack(x, y, grid, 11)
+    lams, w, b = _ridge_cv_stack(x[:2], y[:2], grid, 11)
+    for i in range(2):
+        lam_i, w_i, b_i = oracle_ridge_cv(x[i], y[i], PREFERENCE_LAMBDA_GRID, 11)
+        assert (lams[i], w[i].tobytes(), b[i]) == (lam_i, w_i.tobytes(), b_i)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from coreselect import selectors
+from coreselect import regression, selectors
 from coreselect.cli import _canonical_json
 from coreselect.embeddings import performance_embeddings
 from coreselect.errors import ValidationError
@@ -649,6 +651,91 @@ def test_random_balanced_exhaustion_and_determinism(rng):
         select_random_balanced(m, 8, seed=0)
 
 
+def choice_oracle(p, n, seed, index):
+    """Balanced draw `index` as Generator.choice takes it."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0, index]))
+    return rng.choice(p.size, size=n, replace=False, p=p, shuffle=False)
+
+
+def assert_draws_match_choice(p, n, seed, indices):
+    from coreselect.selectors import _BalancedDraws
+
+    draw = _BalancedDraws(p, n)
+    for index in indices:
+        assert np.array_equal(draw(seed, index), choice_oracle(p, n, seed, index))
+
+
+def first_pass_repeats(p, n, seed, index):
+    """Whether choice's first pass of n uniforms hits some row twice."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    u = np.random.default_rng(np.random.SeedSequence([seed, 0, index])).random(n)
+    return np.unique(cdf.searchsorted(u, side="right")).size < n
+
+
+def test_balanced_draws_match_choice_at_paper_shape():
+    # 16,680 items in 40 tasks of unequal size, p = 1 / (T * |task|)
+    sizes = 417 + np.resize([150, -150, 40, -40], 40)
+    b = np.repeat(1.0 / (40 * sizes), sizes)
+    assert_draws_match_choice(b / b.sum(), 50, 3, range(300))
+
+
+def test_balanced_draws_match_choice_when_rows_repeat():
+    # five rows hold 95% of the mass, so most first passes repeat a row and
+    # the draw goes on with those rows zeroed, in one or more passes
+    b = np.concatenate([np.full(5, 19.0), np.full(995, 5.0 / 995)])
+    p = b / b.sum()
+    assert sum(first_pass_repeats(p, 8, 1, i) for i in range(200)) > 150
+    assert_draws_match_choice(p, 8, 1, range(200))
+    # n = N takes every row; rows of zero mass are never drawn
+    q = np.random.default_rng(2).random(40)
+    assert_draws_match_choice(q / q.sum(), 40, 4, range(50))
+    q[::3] = 0.0
+    assert_draws_match_choice(q / q.sum(), 26, 4, range(50))
+
+
+def test_balanced_draws_break_exact_cdf_ties_as_choice_does():
+    from coreselect.selectors import _BalancedDraws
+
+    for index in range(20):
+        u = np.random.default_rng(np.random.SeedSequence([6, 0, index])).random()
+        # cdf[0] == u: side="right" takes row 1
+        assert_draws_match_choice(np.array([u, 1.0 - u]), 1, 6, [index])
+        assert _BalancedDraws(np.array([u, 1.0 - u]), 1)(6, index).tolist() == [1]
+        # p sums to 1 - 1e-9, inside choice's tolerance; only the normalized
+        # cdf puts u below cdf[0] and takes row 0
+        a = u * (1.0 - 5e-10)
+        assert_draws_match_choice(np.array([a, 1.0 - 1e-9 - a]), 1, 6, [index])
+        assert _BalancedDraws(np.array([a, 1.0 - 1e-9 - a]), 1)(6, index).tolist() == [0]
+    for index in range(40):
+        u1, u2, u3 = np.random.default_rng(np.random.SeedSequence([6, 0, index])).random(3)
+        if max(u1, u2) >= 0.9:
+            continue
+        # both first uniforms take row 0; with row 0 zeroed, the cdf is
+        # exactly (0, u3, 1), and side="right" takes row 2 for the third
+        p = np.array([1.0 - 1.0 / 16, u3 / 16, (1.0 - u3) / 16])
+        assert_draws_match_choice(p, 2, 6, [index])
+        assert _BalancedDraws(p, 2)(6, index).tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("p, n", [
+    (np.full((2, 2), 0.25), 1),  # not 1-D
+    (np.array([0.5, np.nan, 0.25, 0.25]), 1),
+    (np.array([np.inf, 0.25, 0.25, 0.25]), 1),
+    (np.array([0.75, -0.25, 0.25, 0.25]), 1),
+    (np.array([0.5, 0.25, 0.25, 0.25]), 1),  # sums to 1.25
+    (np.full(4, 0.25), 5),
+    (np.array([0.5, 0.5, 0.0, 0.0]), 3),
+])
+def test_balanced_draws_check_p_as_choice_does(p, n):
+    from coreselect.selectors import _BalancedDraws
+
+    with pytest.raises(ValueError) as expected:
+        choice_oracle(p, n, 0, 0)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        _BalancedDraws(p, n)
+
+
 # ----------------------------------------------------------- variance top
 
 def test_variance_uses_sample_denominator():
@@ -842,7 +929,7 @@ def test_learn_exact_linear_relation_recovered(rng):
 
 
 def test_learn_search_keeps_argmin_candidate(rng):
-    from coreselect.selectors import _draw_balanced
+    from coreselect.selectors import _BalancedDraws
 
     m = random_matrix(rng, 8, [6, 6])
     sel = select_learn(m, SelectorConfig("random_search_learn", n=5, seed=7, n_search=12))
@@ -850,7 +937,7 @@ def test_learn_search_keeps_argmin_candidate(rng):
     # the kept subset is the argmin candidate: re-derive that candidate's draw
     kept_rank = sel.candidate_mae.index(min(sel.candidate_mae))
     b = balance_weights(m)
-    kept = _draw_balanced(m, 5, b / b.sum(), 7, kept_rank)
+    kept = _BalancedDraws(b / b.sum(), 5)(7, kept_rank)
     assert tuple(m.item_ids[i] for i in kept) == sel.subset.item_ids
     assert all(min(sel.candidate_mae) <= mae for mae in sel.candidate_mae)
 
@@ -928,7 +1015,7 @@ def test_learn_bit_identical_to_two_path_oracle():
 
 
 def assert_all_tied_keeps_draw_zero(rng):
-    from coreselect.selectors import _draw_balanced
+    from coreselect.selectors import _BalancedDraws
 
     # constant columns of exact binary fractions: every candidate predicts
     # the reference exactly, so every MAE ties and draw 0 is kept
@@ -938,7 +1025,7 @@ def assert_all_tied_keeps_draw_zero(rng):
     )
     assert len(set(sel.candidate_mae)) == 1
     b = balance_weights(m)
-    draws = [tuple(_draw_balanced(m, 3, b / b.sum(), 5, i)) for i in range(10)]
+    draws = [tuple(_BalancedDraws(b / b.sum(), 3)(5, i)) for i in range(10)]
     assert len(set(draws)) > 1  # the candidates differ; only their MAEs tie
     assert sel.subset.item_ids == tuple(m.item_ids[i] for i in draws[0])
 
@@ -952,7 +1039,7 @@ def set_search_batch(monkeypatch, m, config, batch):
     return the list that records each stack's size."""
     n_train = m.n_models - max(1, int(round(m.n_models * config.holdout_fraction)))
     per_slice = max(config.n ** 2, len(config.lambda_grid) * n_train ** 2)
-    monkeypatch.setattr(selectors, "_SEARCH_BATCH_ELEMENTS", batch * per_slice)
+    monkeypatch.setattr(regression, "_RIDGE_STACK_ELEMENTS", batch * per_slice)
     sizes = []
     real = selectors._ridge_cv_stack
 
@@ -1054,3 +1141,46 @@ def test_selector_json_determinism(rng):
 def test_unknown_method_rejected():
     with pytest.raises(ValidationError, match="valid:"):
         SelectorConfig("best_effort", n=3, seed=0)
+
+
+@pytest.mark.parametrize("method", ["anchor_points", "irt_anchor", "semantic_anchor",
+                                    "acoustic_anchor", "combined_anchor"])
+def test_anchor_fold_frees_its_space_before_kmeans(rng, monkeypatch, method):
+    import weakref
+
+    from coreselect.embeddings import EmbeddingSet
+
+    m = random_matrix(rng, 6, [8, 8, 8])
+    ids = tuple(it.item_id for it in m.items)
+    semantic = EmbeddingSet("semantic", ids, rng.standard_normal((m.n_items, 9)))
+    acoustic = EmbeddingSet("acoustic", ids, rng.standard_normal((m.n_items, 9)))
+    spaces = []
+    real_init = EmbeddingSet.__post_init__
+
+    def tracked_init(self):
+        real_init(self)
+        spaces.append(weakref.ref(self))
+
+    monkeypatch.setattr(EmbeddingSet, "__post_init__", tracked_init)
+    real_kmeans = selectors.weighted_kmeans
+    alive = []
+
+    def kmeans(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in spaces))
+        return real_kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(selectors, "weighted_kmeans", kmeans)
+    config = SelectorConfig(method, n=6, seed=13, pca_dim=4, irt_dim=2, irt_epochs=60)
+    prepare, select, _ = selectors.METHODS[method]
+    fold = prepare(m, config, semantic, acoustic)
+    assert not hasattr(fold, "space") and spaces
+    assert select(m, config, fold)[0].n == 6
+    assert alive == [0]  # every space built by prepare is gone before K-Means runs
+
+
+def test_select_anchor_points_without_a_prepared_fold(rng):
+    m = random_matrix(rng, 6, [8, 8, 8])
+    for n in (1, 6, 24):
+        subset, result = select_anchor_points(performance_embeddings(m), m, n, seed=13)
+        assert subset == run_selector(m, SelectorConfig("anchor_points", n=n, seed=13))[0]
+        assert result.k == n
