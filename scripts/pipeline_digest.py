@@ -16,8 +16,8 @@ The run: a synth pool of 18 models x 8 tasks x 25 items with 24-wide
 semantic and acoustic embeddings and ratings for 7 models; ingest; select of
 every method at n=20 (20 search draws); random_search_learn selects at n=20,
 50 and 200 with the default 1,000 search draws, whose candidates are scored
-in stacks of 13 with a last one of 12, stacks of 6 with a last one of 4, and
-one at a time (see ``regression._RIDGE_STACK_ELEMENTS``); irt_anchor
+in stacks of 13 with a last one of 12 at n=20 and 50, and in stacks of 5 at
+n=200 (see ``regression._RIDGE_STACK_ELEMENTS``); irt_anchor
 selects at n=20 with ``--irt-dim 1`` and with ``--irt-epochs 37 --irt-lr
 0.5``, whose M2PL fits take a shape and a step size the defaults do not;
 evaluate of every method at sizes 10,20,50,200 (3 folds x 2 repeats, 20
@@ -55,9 +55,9 @@ draws each fold's seed order through the zero-mass rule too.
 
 A fifth synth pool of 18 models x 8 tasks x 25 items rates 12 models. One
 random_balanced select at n=50 feeds a lomo and a pairwise52 regress on every
-rated dimension, whose protocol folds are fitted in stacks of six (the
-``regression._RIDGE_STACK_ELEMENTS`` budget): lomo's 12 folds in two stacks,
-and pairwise52's 66 pairs in 11.
+rated dimension, whose protocol folds are fitted in stacked batches (the
+``regression._RIDGE_STACK_ELEMENTS`` budget): lomo's 12 folds in one stack of
+12, and pairwise52's 66 pairs in three stacks of 18 and a last one of 12.
 """
 
 from __future__ import annotations

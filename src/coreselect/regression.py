@@ -18,12 +18,11 @@ from .pool import HumanRatingsTable
 PREFERENCE_LAMBDA_GRID = tuple(10.0 ** e for e in range(-4, 5))
 
 # Stacked Ridge fits (random-search candidates, protocol folds) run in batches
-# of B = this // max(n^2, lambdas * m^2) slices of m rows by n features. The
-# largest stacked array, the (B, n, n) Gram or the (B, lambdas, m, m) CV
-# residual operators, then holds at most 128 KiB of float64, and a batch's
-# arrays together about twice that. Larger budgets were a little faster but
-# raised the peak RSS of perfbench's model_fit, by up to 2.4 MB at 8x this
-# budget.
+# of B = this // max(n * m, lambdas * m^2) slices of m rows by n features. The
+# largest stacked arrays, the (B, m, n) features and their projection Z, or
+# the (B, lambdas, m, m) CV residual operators, then hold at most 128 KiB of
+# float64 each. Larger budgets were a little faster but raised the peak RSS
+# of perfbench's model_fit, by up to 2.4 MB at 8x this budget.
 _RIDGE_STACK_ELEMENTS = 16_384
 
 
@@ -91,47 +90,6 @@ def _check_lambda(lam: float, what: str) -> float:
     return float(lam)
 
 
-def _ridge_solve(x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (B, n) and intercepts (B,) of the Ridge fit of each slice:
-    x (B, m, n), y (B, m), lam (B,). Solved exactly on centered data, so
-    X'(y - Xw - b) = lam * w and the residuals sum to zero.
-
-    Only stacked matmul and np.linalg forms are used, which give each slice
-    the bits of the same call on that slice alone. lam is added on the
-    Gram's diagonal in place, so the stack holds one (B, n, n) array; that
-    equals adding lam * I, whose +0.0 off the diagonal changes no entry (the
-    Gram's sums start from +0.0, so it holds no -0.0).
-    """
-    x_mean = x.mean(axis=1)
-    y_mean = y.mean(axis=1)
-    xc = x - x_mean[:, None, :]
-    yc = y - y_mean[:, None]
-    xct = np.swapaxes(xc, 1, 2)
-    gram = xct @ xc
-    n = x.shape[2]
-    gram.reshape(-1, n * n)[:, :: n + 1] += lam[:, None]
-    w = np.linalg.solve(gram, xct @ yc[:, :, None])[:, :, 0]
-    b = y_mean - (x_mean[:, None, :] @ w[:, :, None])[:, 0, 0]
-    return w, b
-
-
-def ridge_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    item_ids: Sequence[str] | None = None,
-) -> RidgeModel:
-    """Minimize sum (y - Xw - b)^2 + lam * |w|^2 with the intercept free.
-
-    Solved exactly on centered data (_ridge_solve on one slice). lam must be
-    finite and > 0, as in ridge_cv's grid.
-    """
-    x, y = _check_xy(x, y)
-    lam = _check_lambda(lam, "ridge penalty")
-    w, b = _ridge_solve(x[None], y[None], np.array([lam]))
-    return RidgeModel(w[0], float(b[0]), lam, tuple(item_ids) if item_ids else None)
-
-
 @functools.lru_cache(maxsize=64)
 def _intercept_basis(m: int) -> np.ndarray:
     """Read-only orthonormal basis (m, m - 1) of the complement of the
@@ -141,31 +99,41 @@ def _intercept_basis(m: int) -> np.ndarray:
     return q
 
 
-def _cv_errors(x: np.ndarray, y: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray:
-    """Mean over the stripe folds of each fold's held-out MSE, for every
-    lambda and every slice: x (B, m, n), y (B, m) -> (B, lambdas).
+def _kernel_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z = Q'X (B, m - 1, n) and the eigendecomposition eigh(ZZ') = V diag(s) V'
+    of each slice of x (B, m, n): s (B, m - 1) ascending, V (B, m - 1, m - 1).
 
-    One m x m kernel eigendecomposition per slice serves the whole grid. With
-    Q an orthonormal basis of the complement of the intercept direction 1,
-    Z = Q'X and eigh(ZZ') = V diag(s) V', W = QV gives
-    I - H = W diag(lam / (s + lam)) W' (ESL 3.4.1). The residuals of the fit
-    without fold F are (I - H)_FF^-1 e_F with e = (I - H) y (ESL 7.10).
-    Projecting through Q, rather than subtracting 11'/m from H, keeps the
-    residual operator accurate to rounding when lam << s. Q and the fold
-    index blocks depend only on m and folds, so one call builds them for
-    the whole stack.
+    Q is an orthonormal basis of the complement of the intercept direction 1
+    (_intercept_basis), so ZZ' is the m x m kernel of the centered rows seen
+    from that complement. Projecting through Q, rather than subtracting
+    11'/m, keeps the CV residual operator and the refit accurate to rounding
+    when lam << s. Only stacked matmul and np.linalg forms are used, which
+    give each slice the bits of the same call on that slice alone.
     """
-    m = x.shape[1]
-    q = _intercept_basis(m)
-    z = q.T @ x
+    z = _intercept_basis(x.shape[1]).T @ x
     s, v = np.linalg.eigh(z @ np.swapaxes(z, 1, 2))
-    w = q @ v
+    return z, s, v
+
+
+def _cv_errors(s: np.ndarray, v: np.ndarray, y: np.ndarray, grid: np.ndarray, folds: int) -> np.ndarray:
+    """Mean over the stripe folds of each fold's held-out MSE, for every
+    lambda and every slice, from the kernel eigenpairs of _kernel_eigh:
+    s (B, m - 1), v (B, m - 1, m - 1), y (B, m) -> (B, lambdas).
+
+    One eigendecomposition per slice serves the whole grid. W = QV gives
+    I - H = W diag(lam / (s + lam)) W' (ESL 3.4.1). The residuals of the fit
+    without fold F are (I - H)_FF^-1 e_F with e = (I - H) y (ESL 7.10). Q and
+    the fold index blocks depend only on m and folds, so one call builds them
+    for the whole stack.
+    """
+    m = y.shape[1]
+    w = _intercept_basis(m) @ v
     shrink = grid[:, None] / (np.maximum(s, 0.0)[:, None, :] + grid[:, None])
     # (B, lambdas, m, m): I - H
     resid_op = (w[:, None] * shrink[:, :, None, :]) @ np.swapaxes(w, 1, 2)[:, None]
     e = (resid_op @ y[:, None, :, None])[..., 0]
     fold_rows = [np.arange(f, m, folds) for f in range(folds)]
-    fold_mse = np.empty((x.shape[0], grid.size, folds))
+    fold_mse = np.empty((y.shape[0], grid.size, folds))
     for size in {rows.size for rows in fold_rows}:  # folds differ in size by <= 1
         group = [f for f in range(folds) if fold_rows[f].size == size]
         held = np.array([fold_rows[f] for f in group])
@@ -173,6 +141,25 @@ def _cv_errors(x: np.ndarray, y: np.ndarray, grid: np.ndarray, folds: int) -> np
         r = np.linalg.solve(block, e[:, :, held, None])[..., 0]
         fold_mse[:, :, group] = np.mean(r**2, axis=3)
     return fold_mse.mean(axis=2)
+
+
+def _dual_refit(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, s: np.ndarray, v: np.ndarray, lams: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (B, n) and intercepts (B,) of the Ridge fit of each slice of
+    x (B, m, n), y (B, m) at lams (B,), from its _kernel_eigh output.
+
+    In dual form (ESL 3.4.1): w = Z'V diag(1 / (s + lam)) V'Q'y and
+    b = mean(y) - mean(x)'w, so X'(y - Xw - b) = lam * w and the residuals
+    sum to zero, up to rounding. It costs O(n m) per slice past the
+    eigendecomposition; the primal form would solve an n x n system.
+    """
+    qty = _intercept_basis(x.shape[1]).T @ y[:, :, None]
+    t = np.swapaxes(v, 1, 2) @ qty
+    t /= (np.maximum(s, 0.0) + lams[:, None])[:, :, None]
+    w = (np.swapaxes(z, 1, 2) @ (v @ t))[:, :, 0]
+    b = y.mean(axis=1) - (x.mean(axis=1)[:, None, :] @ w[:, :, None])[:, 0, 0]
+    return w, b
 
 
 def _lambda_grid(grid: Sequence[float]) -> np.ndarray:
@@ -190,25 +177,31 @@ def _ridge_cv_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ridge_cv on every slice of x (B, m, n), y (B, m) with the sorted grid
     from _lambda_grid: the picked lambdas (B,), weights (B, n) and
-    intercepts (B,). A one-value grid skips CV. The first slice whose CV
-    errors or fit are not finite raises, as its own ridge_cv call would. One
-    slice that LAPACK fails on (np.linalg.LinAlgError) fails the whole stacked
-    call, so the stack is then refitted slice by slice, and the first failing
-    slice raises its own error."""
+    intercepts (B,). This is the one Ridge kernel: each slice takes one
+    _kernel_eigh, which scores the grid (_cv_errors; a one-value grid skips
+    CV) and refits at the picked lambda (_dual_refit), so each slice carries
+    the bits of its own call. The first slice whose CV errors or fit are not
+    finite raises, as its own ridge_cv call would. One slice that LAPACK
+    fails on (np.linalg.LinAlgError) fails the whole stacked call, so the
+    stack is then refitted slice by slice, and the first failing slice raises
+    its own error; a lone slice's LinAlgError becomes a ValidationError."""
     try:
+        z, s, v = _kernel_eigh(x)
         if grid.size == 1:
             pick = np.zeros(x.shape[0], dtype=np.intp)
         else:
-            errs = _cv_errors(x, y, grid, folds)
+            errs = _cv_errors(s, v, y, grid, folds)
             y_term = 1e-24 * np.mean(y**2, axis=1, keepdims=True)
             tol = errs.min(axis=1, keepdims=True) * (1.0 + 1e-10) + y_term
             # the largest passing lambda; -1 when none passes, which takes a NaN error
             pick = np.where(errs <= tol, np.arange(grid.size), -1).max(axis=1)
         lams = grid[pick]
-        w, b = _ridge_solve(x, y, lams)
-    except np.linalg.LinAlgError:
+        w, b = _dual_refit(x, y, z, s, v, lams)
+    except np.linalg.LinAlgError as exc:
         if x.shape[0] == 1:
-            raise
+            raise ValidationError(
+                f"ridge fit failed in LAPACK ({exc}); are the features too large?"
+            ) from exc
         fits = [_ridge_cv_stack(x[i:i + 1], y[i:i + 1], grid, folds) for i in range(x.shape[0])]
         return tuple(np.concatenate(parts) for parts in zip(*fits))
     ok = (pick >= 0) & np.isfinite(w).all(axis=1) & np.isfinite(b)
@@ -221,8 +214,10 @@ def _ridge_cv_stack(
 
 
 def _stack_batch(n: int, lambdas: int, m: int) -> int:
-    """Slices per stacked Ridge batch of m rows by n features, CV over lambdas."""
-    return max(1, _RIDGE_STACK_ELEMENTS // max(n * n, lambdas * m * m))
+    """Slices per stacked Ridge batch of m rows by n features, CV over
+    lambdas: the budget over the larger per-slice array, the features (n * m)
+    or the CV residual operators (lambdas * m^2)."""
+    return max(1, _RIDGE_STACK_ELEMENTS // max(n * m, lambdas * m * m))
 
 
 def ridge_cv(
@@ -232,7 +227,8 @@ def ridge_cv(
     folds: int,
     item_ids: Sequence[str] | None = None,
 ) -> RidgeModel:
-    """Pick lambda by K-fold CV, refit on all rows as ridge_fit does.
+    """Pick lambda by K-fold CV, then refit on all rows in dual form from the
+    same kernel eigendecomposition (_dual_refit).
 
     Fold assignment is the deterministic stripe row i -> fold i mod folds;
     with folds equal to the number of rows this is leave-one-out. The CV
@@ -253,6 +249,20 @@ def ridge_cv(
             raise ValidationError(f"folds={folds} exceeds {x.shape[0]} rows")
     lams, w, b = _ridge_cv_stack(x[None], y[None], grid, folds)
     return RidgeModel(w[0], float(b[0]), float(lams[0]), tuple(item_ids) if item_ids else None)
+
+
+def ridge_fit(
+    x: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    item_ids: Sequence[str] | None = None,
+) -> RidgeModel:
+    """Minimize sum (y - Xw - b)^2 + lam * |w|^2 with the intercept free.
+
+    The one-value-grid case of ridge_cv: no CV, one kernel eigendecomposition
+    and the dual refit. lam must be finite and > 0, as in ridge_cv's grid.
+    """
+    return ridge_cv(x, y, (_check_lambda(lam, "ridge penalty"),), 1, item_ids)
 
 
 @dataclass

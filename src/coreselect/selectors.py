@@ -636,7 +636,8 @@ def select_learn(matrix: ScoreMatrix, config: SelectorConfig) -> LearnSelection:
 
     random_sampling_learn: balanced draw 0 (the random_balanced subset), then
     a Ridge fit from subset score vectors to full-pool reference scores
-    (lambda by 5-fold CV).
+    (lambda by 5-fold CV, refit in dual form from the m x m kernel of the
+    m models, regression._ridge_cv_stack).
 
     random_search_learn: config.n_search balanced draws scored by validation
     MAE on a fixed config.holdout_fraction split of the source models; the

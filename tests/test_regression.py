@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import assert_near_primal, oracle_ridge_fit
 from coreselect import regression
 from coreselect.cli import _canonical_json
 from coreselect.errors import ValidationError
@@ -87,6 +88,21 @@ def test_ridge_nonpositive_or_nonfinite_lambda_rejected():
     for lam in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValidationError, match="finite and > 0"):
             ridge_fit(x, np.array([1.0, 2.0, 3.0]), lam)
+
+
+@pytest.mark.parametrize("m, n", [(12, 5), (9, 9), (13, 13), (12, 350), (9, 1000), (4, 1000)])
+def test_ridge_fit_near_primal_oracle(m, n):
+    # n < m, n = m and n >> m, at every preference lambda, on random and on
+    # four-value inputs (repeated rows and columns)
+    rng = np.random.default_rng([m, n])
+    for x, y in ((rng.random((m, n)), rng.random(m)),
+                 (rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, n)),
+                  rng.choice([0.0, 0.25, 0.5, 1.0], size=m))):
+        for lam in PREFERENCE_LAMBDA_GRID:
+            model = ridge_fit(x, y, lam)
+            assert_near_primal(model.weights, model.intercept, x, y, lam)
+        model = ridge_cv(x, y, PREFERENCE_LAMBDA_GRID, folds=m)
+        assert_near_primal(model.weights, model.intercept, x, y, model.lam)
 
 
 def test_ridge_predictions_invariant_to_row_permutation(rng):
@@ -175,16 +191,16 @@ def test_cv_validation_errors():
 
 
 def primal_cv_lambda(x, y, grid, folds):
-    """The per-fold refit loop: one ridge_fit per lambda x fold, ties to the
-    larger lambda by <=."""
+    """The per-fold refit loop: one primal solve (oracle_ridge_fit) per
+    lambda x fold, ties to the larger lambda by <=."""
     assignment = np.arange(x.shape[0]) % folds
     best_lam, best_err = None, np.inf
     for lam in sorted(grid):
         fold_errs = []
         for f in range(folds):
             held = assignment == f
-            fit = ridge_fit(x[~held], y[~held], lam)
-            fold_errs.append(float(np.mean((fit.predict(x[held]) - y[held]) ** 2)))
+            w, b = oracle_ridge_fit(x[~held], y[~held], lam)
+            fold_errs.append(float(np.mean((x[held] @ w + b - y[held]) ** 2)))
         err = float(np.mean(fold_errs))
         if err <= best_err:
             best_err, best_lam = err, lam
@@ -217,9 +233,11 @@ def test_cv_lambda_matches_primal_refit_loop():
     for x, y, grid, folds in _lambda_fixtures():
         model = ridge_cv(x, y, grid, folds)
         assert model.lam == primal_cv_lambda(x, y, grid, folds)
+        # the refit is ridge_fit's one-value-grid path, bit for bit
         refit = ridge_fit(x, y, model.lam)
         assert np.array_equal(model.weights, refit.weights)
         assert model.intercept == refit.intercept
+        assert_near_primal(model.weights, model.intercept, x, y, model.lam)
         cases += 1
     assert cases == 24 * 8
 
@@ -404,7 +422,7 @@ def record_stacks(monkeypatch, per_batch=None, n=None, m=None):
     """Record the stack size of every _ridge_cv_stack call; with per_batch,
     set the budget so that stacks of m rows by n features hold that many folds."""
     if per_batch is not None:
-        per_slice = max(n * n, len(PREFERENCE_LAMBDA_GRID) * m * m)
+        per_slice = max(n * m, len(PREFERENCE_LAMBDA_GRID) * m * m)
         monkeypatch.setattr(regression, "_RIDGE_STACK_ELEMENTS", per_batch * per_slice)
     sizes = []
     real = regression._ridge_cv_stack
@@ -440,7 +458,7 @@ def test_stacked_protocol_bit_identical_to_ridge_cv_loop(monkeypatch, protocol, 
                 monkeypatch.undo()
                 folds = len(report.folds)
                 m = k - 1 if protocol == "lomo" else k - 2
-                batch = max(1, 16_384 // max(n * n, 9 * m * m))
+                batch = max(1, 16_384 // max(n * m, 9 * m * m))
                 assert sizes == [batch] * (folds // batch) + ([folds % batch] if folds % batch else [])
 
 
@@ -472,12 +490,18 @@ def test_stacked_protocol_flags_constant_ratings_and_features(monkeypatch, proto
 
 
 def _error(call):
+    """The (type, message) of the ValidationError call raises, or None; any
+    other exception, np.linalg.LinAlgError included, fails the test."""
     with np.errstate(all="ignore"):
         try:
             call()
-        except (ValidationError, np.linalg.LinAlgError) as exc:
+        except ValidationError as exc:
             return type(exc), str(exc)
     return None
+
+
+def _lapack_error(cause):
+    return ValidationError, f"ridge fit failed in LAPACK ({cause}); are the features too large?"
 
 
 @pytest.mark.parametrize("protocol", ["lomo", "pairwise52"])
@@ -499,6 +523,31 @@ def test_stacked_protocol_raises_the_loops_error_on_huge_features(monkeypatch, p
         assert _error(lambda: PROTOCOLS[protocol](x, table, "overall")) == expected
         monkeypatch.undo()
         seen.add(expected)
-    assert {None, (np.linalg.LinAlgError, "Singular matrix"),
-            (np.linalg.LinAlgError, "Eigenvalues did not converge")} <= seen
-    assert protocol == "pairwise52" or (ValidationError, "ridge CV errors must be finite") in seen
+    assert {None, _lapack_error("Eigenvalues did not converge"),
+            (ValidationError, "ridge CV errors must be finite")} <= seen
+    assert protocol == "lomo" or _lapack_error("Singular matrix") in seen
+
+
+def test_huge_features_raise_validation_errors_not_lapack_errors(monkeypatch):
+    # one row of features at 1e150-1e300 fails LAPACK in the kernel
+    # eigendecomposition or a CV fold solve; every Ridge entry point must
+    # turn that into a ValidationError, under the default stack budget and
+    # under stacks of one, with the same first error under both
+    rng = np.random.default_rng(23)
+    seen = set()
+    for k in range(4, 13):
+        for n in (1, 3, 10, 50):
+            for exponent in (150, 200, 250, 300):
+                x, table = protocol_inputs(rng, k, n, False)
+                x[rng.integers(k)] = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(exponent, exponent + 8)
+                y = table.column("overall")
+                calls = (lambda: ridge_cv(x, y, PREFERENCE_LAMBDA_GRID, folds=k),
+                         lambda: preference_lomo(x, table, "overall"),
+                         lambda: pairwise_52(x, table, "overall"))
+                errors = [_error(call) for call in calls]
+                monkeypatch.setattr(regression, "_RIDGE_STACK_ELEMENTS", 1)  # stacks of one
+                assert [_error(call) for call in calls] == errors
+                monkeypatch.undo()
+                seen.update(errors)
+    assert _lapack_error("Eigenvalues did not converge") in seen
+    assert _lapack_error("Singular matrix") in seen

@@ -1,8 +1,9 @@
-"""The stack-first Ridge kernels against the one-matrix code they replaced.
+"""The stack-first Ridge kernels against one-matrix oracles.
 
-``_cv_errors``, ``_ridge_solve`` and ``_ridge_cv_stack`` take a stack of B
-problems. Each slice of their output must carry the bytes that the former
-2-D code (kept below as the oracle) gives for that slice alone.
+``_kernel_eigh``, ``_cv_errors``, ``_dual_refit`` and ``_ridge_cv_stack``
+take a stack of B problems. Each slice of their output must carry the bytes
+that the 2-D code below gives for that slice alone, and the fits must lie
+within ``PRIMAL_RTOL`` of the primal n x n solve (``oracle_ridge_fit``).
 """
 
 from __future__ import annotations
@@ -13,24 +14,33 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import assert_near_primal  # noqa: E402
 from coreselect.errors import ValidationError  # noqa: E402
 from coreselect.regression import (  # noqa: E402
     PREFERENCE_LAMBDA_GRID,
     _cv_errors,
+    _dual_refit,
+    _kernel_eigh,
     _lambda_grid,
     _ridge_cv_stack,
-    _ridge_solve,
     ridge_cv,
 )
 from coreselect.selectors import LEARN_LAMBDA_GRID  # noqa: E402
 
 
-def oracle_cv_errors(x, y, grid, folds):
-    """The 2-D kernel-form CV errors, one (m, n) problem per call."""
+def oracle_kernel_eigh(x):
+    """The 2-D projection Z = Q'X and the eigenpairs of ZZ'."""
     m = x.shape[0]
     q = np.linalg.qr(np.ones((m, 1)), mode="complete")[0][:, 1:]
     z = q.T @ x
     s, v = np.linalg.eigh(z @ z.T)
+    return q, z, s, v
+
+
+def oracle_cv_errors(x, y, grid, folds):
+    """The 2-D kernel-form CV errors, one (m, n) problem per call."""
+    m = x.shape[0]
+    q, _, s, v = oracle_kernel_eigh(x)
     w = q @ v
     shrink = grid[:, None] / (np.maximum(s, 0.0) + grid[:, None])
     resid_op = (w * shrink[:, None, :]) @ w.T
@@ -46,26 +56,25 @@ def oracle_cv_errors(x, y, grid, folds):
     return fold_mse.mean(axis=1)
 
 
-def oracle_ridge_fit(x, y, lam):
-    """The 2-D primal solve on centered data: weights and intercept."""
-    x_mean = x.mean(axis=0)
-    y_mean = float(y.mean())
-    xc = x - x_mean
-    yc = y - y_mean
-    gram = xc.T @ xc + lam * np.eye(x.shape[1])
-    w = np.linalg.solve(gram, xc.T @ yc)
-    return w, y_mean - float(x_mean @ w)
+def oracle_dual_refit(x, y, lam):
+    """The 2-D dual refit, w = Z'V diag(1 / (s + lam)) V'Q'y, in column
+    vectors: weights and intercept."""
+    q, z, s, v = oracle_kernel_eigh(x)
+    t = v.T @ (q.T @ y[:, None])
+    t /= (np.maximum(s, 0.0) + lam)[:, None]
+    w = (z.T @ (v @ t))[:, 0]
+    return w, float(y.mean() - (x.mean(axis=0)[None, :] @ w[:, None])[0, 0])
 
 
 def oracle_ridge_cv(x, y, grid, folds):
-    """The 2-D lambda pick (largest within tolerance of the least error) and refit."""
+    """The 2-D lambda pick (largest within tolerance of the least error) and dual refit."""
     grid = sorted(grid)
     if len(grid) == 1:
-        return (grid[0], *oracle_ridge_fit(x, y, grid[0]))
+        return (grid[0], *oracle_dual_refit(x, y, grid[0]))
     errs = oracle_cv_errors(x, y, np.asarray(grid), folds)
     tol = float(errs.min()) * (1.0 + 1e-10) + 1e-24 * float(np.mean(y**2))
     lam = grid[int(np.flatnonzero(errs <= tol)[-1])]
-    return (lam, *oracle_ridge_fit(x, y, lam))
+    return (lam, *oracle_dual_refit(x, y, lam))
 
 
 GRIDS = ((0.5,), LEARN_LAMBDA_GRID)
@@ -99,7 +108,8 @@ def stacks(draw):
 def test_stacked_cv_errors_match_per_slice_oracle(case):
     x, y, grid, folds = case
     grid = np.asarray(grid)
-    errs = _cv_errors(x, y, grid, folds)
+    _, s, v = _kernel_eigh(x)
+    errs = _cv_errors(s, v, y, grid, folds)
     assert errs.shape == (x.shape[0], grid.size)
     for i in range(x.shape[0]):
         assert errs[i].tobytes() == oracle_cv_errors(x[i], y[i], grid, folds).tobytes()
@@ -107,16 +117,17 @@ def test_stacked_cv_errors_match_per_slice_oracle(case):
 
 @settings(max_examples=250, deadline=None)
 @given(stacks(), st.data())
-def test_stacked_ridge_solve_matches_per_slice_oracle(case, data):
+def test_stacked_dual_refit_matches_per_slice_oracle(case, data):
     x, y, _, _ = case
     lams = np.asarray(data.draw(st.lists(st.sampled_from(PREFERENCE_LAMBDA_GRID),
                                          min_size=x.shape[0], max_size=x.shape[0])))
-    w, b = _ridge_solve(x, y, lams)
+    w, b = _dual_refit(x, y, *_kernel_eigh(x), lams)
     assert w.shape == x.shape[::2] and b.shape == x.shape[:1]
     for i in range(x.shape[0]):
-        w_i, b_i = oracle_ridge_fit(x[i], y[i], lams[i])
+        w_i, b_i = oracle_dual_refit(x[i], y[i], lams[i])
         assert w[i].tobytes() == w_i.tobytes()
         assert b[i] == b_i
+        assert_near_primal(w[i], b[i], x[i], y[i], lams[i])
 
 
 @settings(max_examples=250, deadline=None)
@@ -131,6 +142,7 @@ def test_stacked_ridge_cv_matches_per_slice_oracle(case):
         assert b[i] == b_i
         model = ridge_cv(x[i], y[i], grid, folds)  # the one-slice case
         assert (model.lam, model.weights.tobytes(), model.intercept) == (lam_i, w_i.tobytes(), b_i)
+        assert_near_primal(w[i], b[i], x[i], y[i], lam_i)
 
 
 def test_stacked_ridge_cv_raises_for_a_non_finite_slice():
@@ -151,18 +163,23 @@ def test_stacked_ridge_cv_raises_for_a_non_finite_slice():
 
 def test_stacked_ridge_cv_refits_slice_by_slice_when_lapack_fails():
     # slice 1's huge row fails eigh on its own, which fails the stacked call;
-    # the stack must still raise slice 0's own ValidationError first
+    # the lone slice's LinAlgError becomes a ValidationError, and the stack
+    # must still raise slice 0's own ValidationError first
     rng = np.random.default_rng(4)
     x = rng.random((3, 11, 1))
     y = rng.random((3, 11))
     x[1, 5] = 1e160
     grid = _lambda_grid(PREFERENCE_LAMBDA_GRID)
+    lapack = r"ridge fit failed in LAPACK \(Eigenvalues did not converge\); are the features too large\?"
     with np.errstate(all="ignore"):
-        with pytest.raises(np.linalg.LinAlgError) as alone:
+        with pytest.raises(np.linalg.LinAlgError):
+            _kernel_eigh(x)
+        with pytest.raises(ValidationError, match=lapack):
             _ridge_cv_stack(x[1:2], y[1:2], grid, 11)
-        with pytest.raises(np.linalg.LinAlgError) as stacked:
+        with pytest.raises(ValidationError, match=lapack):
             _ridge_cv_stack(x, y, grid, 11)
-        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ValidationError, match=lapack):
+            ridge_cv(x[1], y[1], PREFERENCE_LAMBDA_GRID, 11)
         y[0, 0] = np.inf
         with pytest.raises(ValidationError) as first:
             _ridge_cv_stack(x[:1], y[:1], grid, 11)
@@ -172,7 +189,7 @@ def test_stacked_ridge_cv_refits_slice_by_slice_when_lapack_fails():
     x[1, 5], y[0, 0] = 0.5, 0.5
     x[2, 3] = 1e160
     with np.errstate(all="ignore"):
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ValidationError, match=lapack):
             _ridge_cv_stack(x, y, grid, 11)
     lams, w, b = _ridge_cv_stack(x[:2], y[:2], grid, 11)
     for i in range(2):

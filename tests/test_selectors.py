@@ -23,7 +23,7 @@ from coreselect.selectors import (
 )
 from coreselect.weighting import balance_weights, reference_scores
 
-from conftest import make_matrix, random_matrix
+from conftest import assert_near_primal, make_matrix, random_matrix
 
 
 # ---------------------------------------------------------------- kmeans
@@ -998,6 +998,8 @@ def assert_learn_matches_oracle(m, config):
     assert sel.model.intercept == model.intercept
     assert sel.model.lam == model.lam
     assert sel.candidate_mae == maes
+    x = m.values[:, [m.item_position(i) for i in ids]]
+    assert_near_primal(sel.model.weights, sel.model.intercept, x, reference_scores(m), sel.model.lam)
     return sel
 
 
@@ -1038,7 +1040,7 @@ def set_search_batch(monkeypatch, m, config, batch):
     """Make select_learn score config's candidates in stacks of `batch` and
     return the list that records each stack's size."""
     n_train = m.n_models - max(1, int(round(m.n_models * config.holdout_fraction)))
-    per_slice = max(config.n ** 2, len(config.lambda_grid) * n_train ** 2)
+    per_slice = max(config.n * n_train, len(config.lambda_grid) * n_train ** 2)
     monkeypatch.setattr(regression, "_RIDGE_STACK_ELEMENTS", batch * per_slice)
     sizes = []
     real = selectors._ridge_cv_stack
