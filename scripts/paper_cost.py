@@ -1,16 +1,17 @@
 """Time one fold of a paper-shape evaluate: each method's prepare and select.
 
-Generates perfbench's paper_scale inputs (18 models x 40 tasks x 417 items =
-16,680 items, 64-wide semantic and acoustic embeddings) with
-``perfbench/gen.py`` at ``--seed`` in a temporary directory, ingests them,
-and takes one fold's source models: the first 12, the source-model count of
-a 3-fold split. For each method, with the selector seed 3, it times the
-prepare step once (with n the largest size, as ``evaluation`` does) and the
-select step at every size, in CPU time with BLAS pinned to one thread. It
-prints one JSON line per (method, size) with the SHA-256 of the selected
-item ids, then one line with the projected hours of a 3-fold x 100-repeat
-evaluate of the timed sizes (300 folds of prepare plus every select; score
-steps, at most about 0.014 s each, are left out):
+Generates perfbench's paper_scale inputs (the shape that
+``perfbench/workloads.py`` gives: 18 models x 40 tasks x 417 items = 16,680
+items, 64-wide semantic and acoustic embeddings) with ``perfbench/gen.py`` at
+input seed 1 in a temporary directory, ingests them, and takes one fold's
+source models: the first 12, the source-model count of a 3-fold split. For
+each method, with the selector seed 3, it times the prepare step once (with
+n the largest size, as ``evaluation`` does) and the select step at every
+size, in CPU time with BLAS pinned to one thread. It prints one JSON line
+per (method, size) with the SHA-256 of the selected item ids, then one line
+with the projected hours of a 3-fold x 100-repeat evaluate of the timed
+sizes (300 folds of prepare plus every select; score steps, at most about
+0.014 s each, are left out):
 
     python scripts/paper_cost.py --methods random_search_learn --sizes 350,1000
     python scripts/paper_cost.py --root /path/to/other/checkout --sizes 10,100
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import os
 import sys
@@ -38,24 +38,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads, as perfbench's worker does
 
 HERE = Path(__file__).resolve().parent.parent
-SHAPE = {"models": 18, "tasks": 40, "items_per_task": 417, "rated": 9, "emb_dim": 64}
+sys.path.insert(0, str(HERE / "perfbench"))
+import gen  # noqa: E402 - perfbench's modules import each other by bare name
+from workloads import WORKLOADS  # noqa: E402
+
+SHAPE = WORKLOADS["paper_scale"]["shape"]
 SOURCE_MODELS = 12
+INPUT_SEED = 1
 SELECT_SEED = 3
 FOLDS, REPEATS = 3, 100
-
-
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", HERE / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--methods", help="comma-separated methods (default: all)")
     parser.add_argument("--sizes", help="comma-separated sizes (default: evaluate's DEFAULT_SIZES)")
-    parser.add_argument("--seed", type=int, default=1, help="input seed (default 1)")
     parser.add_argument("--root", type=Path, default=HERE, help="checkout whose src/ is timed")
     args = parser.parse_args(argv)
 
@@ -68,7 +65,7 @@ def main(argv=None) -> int:
     methods = args.methods.split(",") if args.methods else list(METHODS)
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else list(DEFAULT_SIZES)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = _load_gen().generate(Path(tmp), seed=args.seed, **SHAPE)
+        paths = gen.generate(Path(tmp), seed=INPUT_SEED, **SHAPE)
         matrix = load_pool(paths["items"], paths["scores"], paths["norm_config"])
         semantic = load_embedding_csv(paths["semantic"], matrix, "semantic")
         acoustic = load_embedding_csv(paths["acoustic"], matrix, "acoustic")
