@@ -7,11 +7,14 @@ input seed 1 in a temporary directory, ingests them, and takes one fold's
 source models: the first 12, the source-model count of a 3-fold split. For
 each method, with the selector seed 3, it times the prepare step once (with
 n the largest size, as ``evaluation`` does) and the select step at every
-size, in CPU time with BLAS pinned to one thread. It prints one JSON line
-per (method, size) with the SHA-256 of the selected item ids, then one line
-with the projected hours of a 3-fold x 100-repeat evaluate of the timed
-sizes (300 folds of prepare plus every select; score steps, at most about
-0.014 s each, are left out):
+size, in CPU time with BLAS pinned to one thread. After each timed select
+it runs the same select once more, untimed, under ``tracemalloc``, whose
+peak (``traced_peak_mb``, in MiB as perfbench's ``peak_rss_mb``) is what
+that select allocates on top of the loaded inputs and the prepared fold.
+It prints one JSON line per (method, size) with that peak and the SHA-256
+of the selected item ids, then one line with the projected hours of a
+3-fold x 100-repeat evaluate of the timed sizes (300 folds of prepare plus
+every select; score steps, at most about 0.014 s each, are left out):
 
     python scripts/paper_cost.py --methods random_search_learn --sizes 350,1000
     python scripts/paper_cost.py --root /path/to/other/checkout --sizes 10,100
@@ -31,6 +34,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,9 +88,14 @@ def main(argv=None) -> int:
             subset = select(source, replace(config, n=n), prepared)[0]
             select_s = time.process_time() - start
             fold_s += select_s
+            tracemalloc.start()
+            select(source, replace(config, n=n), prepared)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.stop()
             digest = hashlib.sha256("\n".join(subset.item_ids).encode()).hexdigest()
             print(json.dumps({"method": method, "n": n, "prepare_s": round(prepare_s, 4),
-                              "select_s": round(select_s, 4), "ids_sha256": digest}), flush=True)
+                              "select_s": round(select_s, 4), "traced_peak_mb": round(peak_mb, 2),
+                              "ids_sha256": digest}), flush=True)
         hours[method] = round(fold_s * FOLDS * REPEATS / 3600, 3)
     print(json.dumps({"projection": f"{FOLDS} folds x {REPEATS} repeats", "sizes": sizes,
                       "hours": hours, "total_hours": round(sum(hours.values()), 3)}))

@@ -26,7 +26,7 @@ from .errors import ValidationError
 from .pool import ScoreMatrix, load_pool, load_ratings, read_json
 from .embeddings import load_embedding_csv
 from .weighting import SubsetSpec
-from .selectors import METHODS, SelectorConfig, run_selector
+from .selectors import METHODS, SelectorConfig
 from .regression import PREFERENCE_LAMBDA_GRID, RidgeModel, pairwise_52, preference_lomo, ridge_cv
 from .evaluation import CORRELATION_METRICS, DEFAULT_SIZES, EvalReport, crossval_curves
 from .synth import SynthConfig, gen_benchmark, write_benchmark_files, write_ratings_file
@@ -157,8 +157,12 @@ def _load_side_embeddings(args: argparse.Namespace, matrix: ScoreMatrix):
 def cmd_select(args: argparse.Namespace) -> int:
     matrix = _load_bundle(args.bundle)
     config = _selector_config(args)
-    semantic, acoustic = _load_side_embeddings(args, matrix)
-    subset, regressor, irt_model = run_selector(matrix, config, semantic, acoustic)
+    prepare, select, _ = METHODS[config.method]
+    # run_selector's steps, with the embeddings held only by prepare's call: a
+    # call keeps its arguments alive until it returns, so they are freed
+    # before select clusters, which needs only what prepare built from them
+    prepared = prepare(matrix, config, *_load_side_embeddings(args, matrix))
+    subset, regressor, irt_model = select(matrix, config, prepared)
 
     out = Path(args.out)
     _write_json(out / "subset.json", subset.to_json_dict())

@@ -20,16 +20,24 @@ from .embeddings import EmbeddingSet
 from .weighting import SubsetSpec, balance_weights
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(
+    z: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """Logistic function without overflow or boolean indexing.
 
     With e = exp(-|z|) in [0, 1], this is 1/(1+e) where z >= 0 and e/(1+e)
     elsewhere: max(e, z >= 0) is exactly 1 or e, so each element takes the
     same operations as the masked two-branch form and gets the same bits.
     A NaN stays NaN.
+
+    out and work, when given, are float64 arrays of z's shape that receive
+    the result and e; work may be z itself, which is then overwritten. With
+    both, the call allocates nothing.
     """
-    e = np.exp(-np.abs(z))
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    s = np.greater_equal(z, 0.0, out=out)
+    e = np.exp(np.negative(np.abs(z, out=work), out=work), out=work)
+    s = np.maximum(e, s, out=out)
+    return np.divide(s, np.add(e, 1.0, out=work), out=out)
 
 
 @dataclass(frozen=True)
@@ -145,11 +153,14 @@ def log_posterior(
 def _gradients_into(
     alpha: np.ndarray, beta: np.ndarray, theta: np.ndarray, y: np.ndarray,
     g_alpha: np.ndarray, g_beta: np.ndarray, g_theta: np.ndarray,
+    z: np.ndarray, resid: np.ndarray,
 ) -> None:
-    """log_posterior_gradients, written into g_alpha, g_beta and g_theta."""
-    z = theta @ alpha.T
+    """log_posterior_gradients, written into g_alpha, g_beta and g_theta; z
+    and resid are K x N scratch that hold z = θα′ − β, then e = exp(−|z|) and
+    the sigmoid, then the residual y − sigmoid(z)."""
+    np.matmul(theta, alpha.T, out=z)
     z -= beta
-    resid = y - sigmoid(z)  # K x N
+    np.subtract(y, sigmoid(z, out=resid, work=z), out=resid)
     np.matmul(resid.T, theta, out=g_alpha)
     g_alpha -= alpha
     np.sum(resid, axis=0, out=g_beta)
@@ -164,7 +175,9 @@ def log_posterior_gradients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of log_posterior w.r.t. (alpha, beta, theta)."""
     grads = np.empty(alpha.shape), np.empty(beta.shape), np.empty(theta.shape)
-    _gradients_into(alpha, beta, theta, y, *grads)
+    shape = (theta.shape[0], alpha.shape[0])
+    scratch = np.empty(shape), np.empty(shape)
+    _gradients_into(alpha, beta, theta, y, *grads, *scratch)
     return grads
 
 
@@ -196,10 +209,11 @@ def fit_m2pl(
         return flat[:n * d].reshape(n, d), flat[n * d:n * d + n], flat[n * d + n:].reshape(k, d)
 
     param_blocks, grad_blocks = blocks(params), blocks(grads)
+    scratch = np.empty((k, n)), np.empty((k, n))  # z and e, then the sigmoid and residual
     b1, b2, eps = 0.9, 0.999, 1e-8
     with np.errstate(all="ignore"):  # a diverging fit ends in the check below
         for step in range(1, epochs + 1):
-            _gradients_into(*param_blocks, y, *grad_blocks)
+            _gradients_into(*param_blocks, y, *grad_blocks, *scratch)
             m *= b1  # m = b1 * m + (1 - b1) * g
             np.multiply(grads, 1 - b1, out=m_step)
             m += m_step

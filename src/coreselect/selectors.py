@@ -37,6 +37,9 @@ KMEANS_MAX_ITER = 300
 # Smallest n·k at which weighted_kmeans keeps per-point bounds (see its docstring).
 KMEANS_BOUNDS_MIN_NK = 200_000
 
+# Elements of one row block of the K-Means distance passes (256 KiB of float64).
+KMEANS_BLOCK_ELEMENTS = 1 << 15
+
 
 @dataclass(frozen=True)
 class SelectorConfig:
@@ -109,16 +112,29 @@ class ClusterResult:
 
 
 def _pairwise_sq_dists(
-    points: np.ndarray, norms: np.ndarray, centers: np.ndarray, out: np.ndarray, gram: np.ndarray
+    points: np.ndarray, norms: np.ndarray, centers: np.ndarray, out: np.ndarray, block: np.ndarray
 ) -> None:
     """max((‖p‖² + ‖c‖²) − (2p)·c, 0) for every point and centre, in that order,
-    into out; norms holds the points' ‖p‖² and gram is scratch of out's shape.
-    (2p)·c is one matmul by 2c: doubling is exact, so every product is the same."""
-    np.matmul(points, (2.0 * centers).T, out=gram)
-    out[:] = norms[:, None]
-    out += (centers**2).sum(axis=1)
-    out -= gram
-    np.maximum(out, 0.0, out=out)
+    into out; norms holds the points' ‖p‖². (2p)·c is one matmul by 2c into
+    out: doubling is exact, so every product is the same. Then, len(block)
+    rows at a time, block (k columns of scratch that stay in cache) takes
+    ‖p‖² + ‖c‖² and out its difference with the products, clamped at 0, so
+    no n × k array is needed but out."""
+    np.matmul(points, (2.0 * centers).T, out=out)
+    center_norms = (centers**2).sum(axis=1)
+    step = len(block)
+    for start in range(0, len(out), step):
+        dots = out[start:start + step]
+        sums = block[:len(dots)]
+        sums[:] = norms[start:start + step, None]
+        sums += center_norms
+        np.subtract(sums, dots, out=dots)
+        np.maximum(dots, 0.0, out=dots)
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a row block of `width` columns: KMEANS_BLOCK_ELEMENTS // width, at least 1."""
+    return max(1, KMEANS_BLOCK_ELEMENTS // width)
 
 
 def _kmeanspp_seed(
@@ -205,12 +221,17 @@ class _KMeansInput:
 
 
 def _own_sq_dists(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    """((p − c)**2).sum() from every point to its own centroid, with one
-    n × d temporary: p − c and its square are formed in place."""
-    diffs = centroids[assign]
-    np.subtract(points, diffs, out=diffs)
-    np.multiply(diffs, diffs, out=diffs)
-    return diffs.sum(axis=1)
+    """((p − c)**2).sum() from every point to its own centroid. The differences
+    are formed in row blocks (_block_rows of d), each p − c and its square in
+    place; each row's sum depends only on that row, so the blocks change no bit."""
+    own = np.empty(len(points))
+    step = _block_rows(points.shape[1])
+    for start in range(0, len(points), step):
+        diffs = centroids[assign[start:start + step]]
+        np.subtract(points[start:start + step], diffs, out=diffs)
+        np.multiply(diffs, diffs, out=diffs)
+        diffs.sum(axis=1, out=own[start:start + step])
+    return own
 
 
 def _weighted_means(
@@ -271,21 +292,22 @@ def _second_nearest(d2: np.ndarray, best: np.ndarray) -> np.ndarray:
 
 def _bounded_assign(
     points: np.ndarray, norms: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
-    lower: np.ndarray, own: np.ndarray, err: np.ndarray, d2: np.ndarray, gram: np.ndarray,
+    lower: np.ndarray, own: np.ndarray, err: np.ndarray, d2: np.ndarray, block: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The next assignment and cluster counts, with distances computed only
     for the rows whose bounds do not settle their cluster, or None when the
     full kernel must decide: more than half the rows are active, an active
     row's two nearest computed distances lie within 2·err, or a cluster
-    empties. The active rows are computed in the leading rows of d2 and gram,
-    and their lower bounds are refreshed only when the step is taken."""
+    empties. The active rows are computed in the leading rows of d2, through
+    the kernel's row block, so a step allocates O(n·d) and no n × k array;
+    their lower bounds are refreshed only when the step is taken."""
     n, k = d2.shape
     active = np.flatnonzero(~(lower * lower - own > 3.0 * err))
     m = active.size
     if 2 * m > n:
         return None
     sub = d2[:m]
-    _pairwise_sq_dists(points[active], norms[active], centroids, sub, gram[:m])
+    _pairwise_sq_dists(points[active], norms[active], centroids, sub, block)
     best = sub.argmin(axis=1)
     nearest = sub[np.arange(m), best]
     second = _second_nearest(sub, best)
@@ -359,6 +381,13 @@ def weighted_kmeans(
     40,000), broke even around n·k = 100,000, and from 200,000 on saved
     12–28% at 4,000–10,000 points and a third at 16,680 points with k = 40–60;
     at 1,000 points with k = 200 they still cost 3–5%.
+
+    Memory: a call holds one n × k array, d2, and otherwise O(n·d) plus one
+    row block of k columns that it allocates once (KMEANS_BLOCK_ELEMENTS,
+    or n × k when that is smaller). The kernel's matmul writes d2, and the
+    norms are added and the products subtracted through the block, in place;
+    the differences to the own centroids are formed in row blocks too. At
+    the paper's 16,680 points and k = 1,000, d2 is 133 MB.
     """
     data = prepared or _KMeansInput(points, weights, seed, k)
     points, w, norms = data.points, data.weights, data.norms
@@ -375,7 +404,7 @@ def weighted_kmeans(
 
     centroids = points[data.seeds(k)]
     wcols = np.multiply(w, points.T, out=np.empty(points.shape[::-1]))
-    d2, gram = np.empty((n, k)), np.empty((n, k))
+    d2, block = np.empty((n, k)), np.empty((min(n, _block_rows(k)), k))
     assign = np.full(n, -1, dtype=np.intp)
     trace: list[float] = []
     bounded = n * k >= KMEANS_BOUNDS_MIN_NK
@@ -392,11 +421,11 @@ def weighted_kmeans(
         if bounded:
             err = slack * (root_norms + math.sqrt((centroids**2).sum(axis=1).max())) ** 2 + floor
             if lower is not None:
-                step = _bounded_assign(points, norms, centroids, assign, lower, own, err, d2, gram)
+                step = _bounded_assign(points, norms, centroids, assign, lower, own, err, d2, block)
         if step is not None:
             new_assign, counts = step
         else:
-            _pairwise_sq_dists(points, norms, centroids, d2, gram)
+            _pairwise_sq_dists(points, norms, centroids, d2, block)
             new_assign = d2.argmin(axis=1)
 
             counts = np.bincount(new_assign, minlength=k)
@@ -425,7 +454,7 @@ def weighted_kmeans(
             other = np.where(assign == top, runner_up, drift[top])
             lower = np.maximum(lower - other, 0.0) * (1.0 - slack)
 
-    _pairwise_sq_dists(points, norms, centroids, d2, gram)
+    _pairwise_sq_dists(points, norms, centroids, d2, block)
     anchors = _anchor_rows(d2, assign)
     objective = float((w * _own_sq_dists(points, centroids, assign)).sum())
     if not trace:
@@ -781,7 +810,10 @@ def run_selector(
     """Run one method's prepare and select steps.
 
     Returns (subset, regressor or None, fitted IrtModel or None); the extras
-    are what the method's score step needs to score held-out models.
+    are what the method's score step needs to score held-out models. The
+    embeddings stay referenced until the call returns, through select too;
+    the select command calls the two steps itself so they are freed after
+    prepare.
     """
     prepare, select, _ = METHODS[config.method]
     return select(matrix, config, prepare(matrix, config, semantic, acoustic))

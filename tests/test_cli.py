@@ -6,13 +6,15 @@ import os
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coreselect import selectors
 from coreselect.cli import _canonical_json, _load_bundle, _pool_json, main
-from coreselect.embeddings import load_embedding_csv
+from coreselect.embeddings import EmbeddingSet, load_embedding_csv
 from coreselect.evaluation import crossval_curves
 from coreselect.pool import ItemRecord, ScoreMatrix, load_ratings
 from coreselect.selectors import SelectorConfig
@@ -609,6 +611,33 @@ def test_export_strips_regression_dimension(tmp_path, capsys, valid_inputs):
     assert run_cli("export", "--subset", subset, "--regression", f"overall={fit}",
                    "--regression", f"overall ={fit}", "--out", tmp_path / "rel2") == 1
     assert "more than once" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("method", ["combined_anchor", "semantic_anchor"])
+def test_select_frees_every_embedding_set_before_kmeans(tmp_path, monkeypatch, method):
+    data = make_pool_files(tmp_path, embedding_dim=12)
+    bundle = ingest(tmp_path, data)
+    made = []
+    post_init = EmbeddingSet.__post_init__
+
+    def tracked(self):
+        post_init(self)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(EmbeddingSet, "__post_init__", tracked)
+    alive = []
+    kmeans = selectors.weighted_kmeans
+
+    def counting(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(selectors, "weighted_kmeans", counting)
+    assert run_cli("select", "--bundle", bundle, "--method", method, "--n", 8, "--seed", 4,
+                   "--semantic", data / "semantic.csv", "--acoustic", data / "acoustic.csv",
+                   "--out", tmp_path / "sel") == 0
+    assert len(made) >= 3  # both loaded sets and the space prepare built from them
+    assert alive == [0]
 
 
 def test_full_pipeline_rerun_is_byte_identical(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,10 +258,10 @@ def _count_kernel_rows(monkeypatch, k):
     rows = []
     kernel = selectors._pairwise_sq_dists
 
-    def counting(points, norms, centers, out, gram):
+    def counting(points, norms, centers, out, block):
         if centers.shape[0] == k:
             rows.append(points.shape[0])
-        kernel(points, norms, centers, out, gram)
+        kernel(points, norms, centers, out, block)
 
     monkeypatch.setattr(selectors, "_pairwise_sq_dists", counting)
     return rows
@@ -286,6 +287,52 @@ def test_kmeans_bounded_path_bit_identical_on_large_pools(monkeypatch, d, k):
     monkeypatch.setattr(selectors, "KMEANS_BOUNDS_MIN_NK", bound)
     points, w = _blob_pool(np.random.default_rng([d, k]), n, d, 8)
     _assert_kmeans_matches_oracle(points, w, k, d + k)
+
+
+# (n, d, k): one row, one centre, one column, k above a small block's rows,
+# and n not a multiple of the block's rows
+KERNEL_SHAPES = [(1, 1, 1), (1, 5, 3), (9, 1, 4), (10, 3, 1), (37, 5, 8), (200, 12, 50),
+                 (3001, 2, 7)]
+
+
+@pytest.mark.parametrize("block_elements", [1, 6, 64, selectors.KMEANS_BLOCK_ELEMENTS])
+@pytest.mark.parametrize("n, d, k", KERNEL_SHAPES)
+def test_row_block_kernels_bit_identical_to_one_shot_formula(monkeypatch, block_elements, n, d, k):
+    monkeypatch.setattr(selectors, "KMEANS_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng([n, d, k, block_elements])
+    points = rng.standard_normal((n, d)) * 3.0
+    centers = rng.standard_normal((k, d))
+    centers[::2] = points[rng.integers(0, n, len(centers[::2]))]  # exact zeros to clamp
+    norms = (points**2).sum(axis=1)
+    block = np.empty((min(n, selectors._block_rows(k)), k))  # as weighted_kmeans sizes it
+    want = _oracle_sq_dists(points, centers)
+    out = np.full((n, k), np.nan)
+    selectors._pairwise_sq_dists(points, norms, centers, out, block)
+    assert out.tobytes() == want.tobytes()
+    # the bounded steps' form: fewer rows, into the leading rows of a larger out
+    rows = np.flatnonzero(rng.random(n) < 0.5)
+    out[:] = np.nan
+    selectors._pairwise_sq_dists(points[rows], norms[rows], centers, out[:rows.size], block)
+    assert out[:rows.size].tobytes() == want[rows].tobytes()
+    assign = rng.integers(0, k, n)
+    own = selectors._own_sq_dists(points, centers, assign)
+    assert own.tobytes() == ((points - centers[assign]) ** 2).sum(axis=1).tobytes()
+
+
+def test_kmeans_peak_memory_is_one_n_by_k_array():
+    n, d, k = 8000, 3, 60
+    assert n * k >= selectors.KMEANS_BOUNDS_MIN_NK  # the bounded Lloyd steps run
+    points, w = _blob_pool(np.random.default_rng(31), n, d, 12)
+    weighted_kmeans(points, w, k, seed=2)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        res = weighted_kmeans(points, w, k, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.objective_trace) > 5
+    # d2, a row block, and O(n·d) with the n-long vectors of the bounds
+    assert peak <= 8 * (n * k + selectors.KMEANS_BLOCK_ELEMENTS + 4 * n * d + 24 * n)
 
 
 def test_kmeans_bounds_skip_most_rows_at_module_constant(monkeypatch):
